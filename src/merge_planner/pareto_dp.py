@@ -7,6 +7,12 @@ interval: the one-shot direct merge of the raw single-step operators, and
 every split merge of frontier items from the two sub-intervals.  Dominance
 comparisons are exact double comparisons — tolerance-based pruning could
 discard true optima.
+
+Each cell keeps the batch skyline (:func:`_skyline`) of its candidates: the
+one-shot merge, then the split merges by split point, left-major.  Survivors
+keep candidate order and the first exact duplicate wins, as one-by-one
+insertion would.  Each survivor stores a back-pointer ``(m, i, j)``
+(``m == 0``: one-shot) instead of a plan; plans are built for tied roots only.
 """
 
 from __future__ import annotations
@@ -44,9 +50,17 @@ __all__ = [
     "BruteForceResult",
     "brute_force_optimum",
     "MAX_BRUTE_FORCE_T",
+    "DEFAULT_MAX_FRONTIER",
 ]
 
 MAX_BRUTE_FORCE_T = 8
+
+# default cap on one frontier: d=2 at T=64 peaks at ~1400 items, while d=4 at
+# T=16 can grow past 100 000 items for minutes
+DEFAULT_MAX_FRONTIER = 20_000
+
+_CHUNK_ROWS = 1 << 14  # candidate rows materialised per skyline call
+_SFS_BLOCK = 256  # rows filtered together in the d >= 3 skyline
 
 
 @dataclass(frozen=True)
@@ -107,23 +121,45 @@ class ParetoFrontier:
         return len(self.items)
 
 
-def _three_case_keep(signed_matrix: np.ndarray, cand_signed: np.ndarray) -> np.ndarray | None:
-    """Shared pruning rule on signed entries.
+def _skyline(signed: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows no row dominates and no earlier row equals.
 
-    Returns None when the candidate must be discarded (dominated by an
-    incumbent, or an exact duplicate of one), otherwise the boolean mask of
-    incumbents that survive the insertion.
+    The same rows, in the same order, as inserting them one by one.  d = 1:
+    the first argmax.  d = 2: sort by (-x, -y, index), keep rows whose y tops
+    the running maximum.  d >= 3: sort-filter skyline; after a presort by
+    (-sum, -entries lexicographically, index) no row is weakly dominated by a
+    later one (float addition is monotone), so each block drops the rows
+    weakly dominated by a survivor or by an earlier row of the block.
     """
-    ge = signed_matrix >= cand_signed[None, :]
-    gt = signed_matrix > cand_signed[None, :]
-    ge_all = ge.all(axis=1)
-    gt_any = gt.any(axis=1)
-    if np.any(ge_all & ~gt_any):  # exact duplicate row
-        return None
-    if np.any(ge_all & gt_any):  # candidate dominated
-        return None
-    dominated = (~gt).all(axis=1) & (~ge).any(axis=1)  # incumbent dominated by candidate
-    return ~dominated
+    n, d = signed.shape
+    if n <= 1:
+        return np.arange(n)
+    if d == 1:
+        return np.array([np.argmax(signed[:, 0])])
+    if d == 2:
+        order = np.lexsort((-signed[:, 1], -signed[:, 0]))  # stable: index breaks ties
+        y = signed[order, 1]
+        keep = np.concatenate([[True], y[1:] > np.maximum.accumulate(y)[:-1]])
+        return np.sort(order[keep])
+    order = np.lexsort(np.vstack([-signed[:, ::-1].T, -signed.sum(axis=1)]))
+    cols = np.ascontiguousarray(signed[order].T)  # one contiguous row per coordinate
+    survivors = np.empty_like(cols)
+    n_kept = 0
+    kept = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _SFS_BLOCK):
+        block = cols[:, lo : lo + _SFS_BLOCK]
+        # [r, q]: survivor q (resp. earlier block row q) weakly dominates block row r
+        by_survivor = block[0, :, None] <= survivors[0, None, :n_kept]
+        within = np.tril(block[0, :, None] <= block[0, None, :], k=-1)
+        for c in range(1, d):
+            by_survivor &= block[c, :, None] <= survivors[c, None, :n_kept]
+            within &= block[c, :, None] <= block[c, None, :]
+        keep = ~(by_survivor.any(axis=1) | within.any(axis=1))
+        kept[lo : lo + _SFS_BLOCK] = keep
+        n_new = int(np.count_nonzero(keep))
+        survivors[:, n_kept : n_kept + n_new] = block[:, keep]
+        n_kept += n_new
+    return np.sort(order[kept])
 
 
 def insert_and_prune(
@@ -135,70 +171,19 @@ def insert_and_prune(
     """Update the frontier with a candidate, keeping only non-dominated items.
 
     Discards the candidate if it is dominated by (or exactly equal to) an
-    incumbent, removes incumbents the candidate dominates, and inserts it
+    incumbent, removes incumbents the candidate dominates, and appends it
     otherwise.  Returns the same frontier object, updated in place.
     """
     if candidate.interval != frontier.interval:
         raise ValueError(
             f"candidate covers {candidate.interval}, frontier covers {frontier.interval}"
         )
-    cand_signed = rho.rho * candidate.entries
-    if frontier.items:
-        signed = rho.rho[None, :] * np.stack([op.entries for op in frontier.items])
-        keep = _three_case_keep(signed, cand_signed)
-        if keep is None:
-            return frontier
-        if not keep.all():
-            frontier.items = [op for op, k in zip(frontier.items, keep) if k]
-            frontier.plans = [p for p, k in zip(frontier.plans, keep) if k]
-    frontier.items.append(candidate)
-    frontier.plans.append(plan)
+    items = frontier.items + [candidate]
+    plans = frontier.plans + [plan]
+    keep = _skyline(rho.rho * np.stack([op.entries for op in items]))
+    frontier.items = [items[k] for k in keep]
+    frontier.plans = [plans[k] for k in keep]
     return frontier
-
-
-class _Cell:
-    """One DP cell: raw signed-entry frontier plus provenance, no DiagOperator wrappers."""
-
-    __slots__ = ("entries", "plans", "signed")
-
-    def __init__(self, d: int) -> None:
-        self.entries: list[np.ndarray] = []
-        self.plans: list[MergePlan | None] = []
-        self.signed = np.empty((0, d))
-
-    def insert(self, entries: np.ndarray, plan: MergePlan | None, rho: np.ndarray) -> None:
-        cand_signed = rho * entries
-        if self.signed.shape[0]:
-            keep = _three_case_keep(self.signed, cand_signed)
-            if keep is None:
-                return
-            if not keep.all():
-                self.entries = [e for e, k in zip(self.entries, keep) if k]
-                self.plans = [p for p, k in zip(self.plans, keep) if k]
-                self.signed = self.signed[keep]
-        self.entries.append(np.ascontiguousarray(entries))
-        self.plans.append(plan)
-        self.signed = np.concatenate([self.signed, cand_signed[None, :]], axis=0)
-
-    def prefilter(self, candidates: np.ndarray, rho: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        """Indices of candidates NOT weakly dominated by the current frontier.
-
-        Safe to apply before sequential insertion: by transitivity, anything
-        weakly dominated by the frontier now would also be discarded later,
-        whatever gets inserted in between.  Never removes a survivor, so the
-        resulting frontier is identical to the unfiltered one.
-        """
-        if not self.signed.shape[0]:
-            return np.arange(candidates.shape[0])
-        signed_cands = rho[None, :] * candidates
-        alive = np.empty(candidates.shape[0], dtype=bool)
-        for lo in range(0, candidates.shape[0], chunk):
-            block = signed_cands[lo : lo + chunk]
-            weakly_dominated = (
-                (self.signed[None, :, :] >= block[:, None, :]).all(axis=2).any(axis=1)
-            )
-            alive[lo : lo + block.shape[0]] = ~weakly_dominated
-        return np.nonzero(alive)[0]
 
 
 @dataclass(frozen=True)
@@ -215,16 +200,17 @@ def pareto_dp(
     shrink: ShrinkageProfile,
     surrogate: DiagOperator,
     keep_plans: bool = True,
-    max_frontier_size: int | None = None,
+    max_frontier_size: int | None = DEFAULT_MAX_FRONTIER,
 ) -> DpResult:
     """Optimal operator merging by Pareto dynamic programming.
 
     Fills ``S[t,t] = {A_t}``, then for lengths 2..T and every start time
-    inserts the direct one-shot merge plus every split merge of frontier
-    items, pruning dominated candidates.  The returned operator minimizes
+    keeps the non-dominated candidates among the direct one-shot merge and
+    every split merge of frontier items.  The returned operator minimizes
     the squared Wasserstein objective against ``surrogate`` over ``S[1,T]``;
     exact-objective ties are broken by the lexicographically smallest
-    serialized plan.
+    serialized plan.  A frontier larger than ``max_frontier_size`` raises
+    :class:`FrontierCapExceeded`; ``None`` removes the cap.
     """
     T, d = sched.T, data.d
     if surrogate.d != d:
@@ -234,68 +220,80 @@ def pareto_dp(
     rho = PreferenceVector.from_variances(data).rho
     single = single_step_matrix(sched, data)
 
-    cells: dict[tuple[int, int], _Cell] = {}
+    # entries[(t1, t2)]: frontier rows in candidate order; for t1 < t2,
+    # back[(t1, t2)][k] = (m, i, j): row k merges entries[(t1, m)][i] with
+    # entries[(m + 1, t2)][j], or is the one-shot merge when m == 0
+    entries: dict[tuple[int, int], np.ndarray] = {}
+    back: dict[tuple[int, int], np.ndarray] = {}
+    prods: dict[int, np.ndarray] = {}  # prods[t1]: product of single steps t1..t2
     for t in range(1, T + 1):
-        cell = _Cell(d)
-        cell.insert(single[t - 1], Leaf(t) if keep_plans else None, rho)
-        cells[(t, t)] = cell
+        entries[(t, t)] = single[t - 1 : t].copy()
+        prods[t] = single[t - 1].copy()
 
     for length in range(2, T + 1):
         for t1 in range(1, T - length + 2):
             t2 = t1 + length - 1
             g = shrink.gamma_at(t2)
             one_minus_g = 1.0 - g
-            cell = _Cell(d)
-
-            prod = single[t1 - 1].copy()
-            for t in range(t1 + 1, t2 + 1):
-                prod = prod * single[t - 1]
-            direct = one_minus_g * prod + g * single[t2 - 1]
-            cell.insert(direct, OneShot(t1, t2) if keep_plans else None, rho)
-
+            prods[t1] = prods[t1] * single[t2 - 1]
+            rows = (one_minus_g * prods[t1] + g * single[t2 - 1])[None, :]
+            ptrs = np.zeros((1, 3), dtype=np.intp)
+            pending: list[np.ndarray] = []
+            splits: list[tuple[int, int, int]] = []  # (first pending row, m, n_right)
+            n_pending = 0
             for m in range(t1, t2):
-                left_cell = cells[(t1, m)]
-                right_cell = cells[(m + 1, t2)]
-                n_left, n_right = len(left_cell.entries), len(right_cell.entries)
-                left = np.stack(left_cell.entries)
-                right = np.stack(right_cell.entries)
+                left, right = entries[(t1, m)], entries[(m + 1, t2)]
                 # all split merges of this m at once, in left-major order
-                combos = (
-                    one_minus_g * (left[:, None, :] * right[None, :, :])
-                    + g * right[None, :, :]
-                ).reshape(n_left * n_right, d)
-                for flat in cell.prefilter(combos, rho):
-                    i, j = divmod(int(flat), n_right)
-                    plan = (
-                        MergeNode(left_cell.plans[i], right_cell.plans[j])
-                        if keep_plans
-                        else None
-                    )
-                    cell.insert(combos[flat], plan, rho)
+                merged = one_minus_g * (left[:, None, :] * right[None, :, :]) + g * right
+                pending.append(merged.reshape(-1, d))
+                splits.append((n_pending, m, len(right)))
+                n_pending += len(pending[-1])
+                if n_pending < _CHUNK_ROWS and m < t2 - 1:
+                    continue
+                # skyline([survivors so far, chunk]) = skyline(all candidates so far)
+                rows = np.concatenate([rows, *pending])
+                keep = _skyline(rows * rho)
+                new = keep[keep >= len(ptrs)] - len(ptrs)
+                first, ms, n_right = np.array(splits).T
+                s = np.searchsorted(first, new, side="right") - 1
+                i, j = np.divmod(new - first[s], n_right[s])
+                new_ptrs = np.column_stack([ms[s], i, j])
+                ptrs = np.concatenate([ptrs[keep[keep < len(ptrs)]], new_ptrs])
+                rows = rows[keep]
+                pending, splits, n_pending = [], [], 0
 
-            if max_frontier_size is not None and len(cell.entries) > max_frontier_size:
+            if max_frontier_size is not None and len(rows) > max_frontier_size:
                 raise FrontierCapExceeded(
-                    f"frontier for interval ({t1},{t2}) has {len(cell.entries)} items "
+                    f"frontier for interval ({t1},{t2}) has {len(rows)} items "
                     f"(cap {max_frontier_size}); raise the cap or reduce d"
                 )
-            cells[(t1, t2)] = cell
+            entries[(t1, t2)] = rows
+            back[(t1, t2)] = ptrs
 
-    root = cells[(1, T)]
+    root = entries[(1, T)]
     objectives = np.array(
-        [float(np.dot(surrogate.entries - e, surrogate.entries - e)) for e in root.entries]
+        [float(np.dot(surrogate.entries - e, surrogate.entries - e)) for e in root]
     )
     best_obj = float(np.min(objectives))
     tied = np.nonzero(objectives == best_obj)[0]
-    if keep_plans and len(tied) > 1:
-        idx = min(tied, key=lambda k: format_plan(root.plans[k]))
-    else:
-        idx = int(tied[0])
-
-    best = DiagOperator(entries=root.entries[idx], interval=(1, T))
-    sizes = {iv: len(cell.entries) for iv, cell in cells.items()}
+    plans = {int(k): _build_plan(back, 1, T, int(k)) for k in tied} if keep_plans else {}
+    idx = min(plans, key=lambda k: format_plan(plans[k])) if len(plans) > 1 else int(tied[0])
     return DpResult(
-        best=best, plan=root.plans[idx], objective=best_obj, frontier_sizes=sizes
+        best=DiagOperator(entries=root[idx], interval=(1, T)),
+        plan=plans.get(idx),
+        objective=best_obj,
+        frontier_sizes={iv: len(rows) for iv, rows in entries.items()},
     )
+
+
+def _build_plan(back: dict, t1: int, t2: int, k: int) -> MergePlan:
+    """The plan of row ``k`` of the frontier of ``(t1, t2)``, from back-pointers."""
+    if t1 == t2:
+        return Leaf(t1)
+    m, i, j = (int(v) for v in back[(t1, t2)][k])
+    if m == 0:
+        return OneShot(t1, t2)
+    return MergeNode(_build_plan(back, t1, m, i), _build_plan(back, m + 1, t2, j))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,12 @@ from .gmm import (
 )
 from .linear_op import DiagGaussian, shrinkage, surrogate_target, w2_objective
 from .pareto_dp import pareto_dp
-from .schedule import NoiseSchedule, make_cosine_schedule, read_schedule_csv
+from .schedule import (
+    NoiseSchedule,
+    make_cosine_schedule,
+    read_schedule_csv,
+    validate_schedule,
+)
 from .strategy import (
     MergePlan,
     evaluate_plan,
@@ -220,12 +225,17 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
 
 
 def resolve_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
+    """The configured schedule; a schedule file must pass :func:`validate_schedule`."""
     if cfg.schedule == "cosine":
         return make_cosine_schedule(cfg.T)
     if cfg.schedule == "file":
         if cfg.schedule_file is None:
             raise ValueError("schedule = file requires schedule_file")
-        return read_schedule_csv(cfg.schedule_file)
+        sched = read_schedule_csv(cfg.schedule_file)
+        report = validate_schedule(sched)
+        if not report.ok:
+            raise ValueError(f"invalid schedule in {cfg.schedule_file}:\n{report}")
+        return sched
     raise ValueError(f"unknown schedule kind {cfg.schedule!r}")
 
 

@@ -176,7 +176,11 @@ def write_schedule_csv(sched: NoiseSchedule, path: str | Path) -> None:
 
 
 def read_schedule_csv(path: str | Path) -> NoiseSchedule:
-    """Import a schedule from ``t,alpha`` CSV; sigma is recomputed as sqrt(1-alpha^2)."""
+    """Import a schedule from ``t,alpha`` CSV; sigma is recomputed as sqrt(1-alpha^2).
+
+    Every ``t`` in ``0..T`` must appear exactly once.  Only the structure is
+    checked here; :func:`validate_schedule` reports the invariants.
+    """
     raw = Path(path).read_text(encoding="ascii").strip().splitlines()
     if not raw or raw[0].strip() != "t,alpha":
         raise ValueError("schedule CSV must start with header row 't,alpha'")
@@ -185,7 +189,10 @@ def read_schedule_csv(path: str | Path) -> NoiseSchedule:
         if not line.strip():
             continue
         t_str, a_str = line.split(",")
-        alphas[int(t_str)] = float(a_str)
+        t = int(t_str)
+        if t in alphas:
+            raise ValueError(f"schedule CSV lists t={t} more than once")
+        alphas[t] = float(a_str)
     T = max(alphas)
     if sorted(alphas) != list(range(T + 1)):
         raise ValueError("schedule CSV must list every t in 0..T exactly once")

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merge_planner.linear_op import (
     DiagGaussian,
@@ -9,6 +13,7 @@ from merge_planner.linear_op import (
     w2_objective,
 )
 from merge_planner.pareto_dp import (
+    DEFAULT_MAX_FRONTIER,
     FrontierCapExceeded,
     ParetoFrontier,
     PreferenceVector,
@@ -16,8 +21,9 @@ from merge_planner.pareto_dp import (
     dominates,
     insert_and_prune,
     pareto_dp,
+    _skyline,
 )
-from merge_planner.schedule import make_cosine_schedule
+from merge_planner.schedule import NoiseSchedule, make_cosine_schedule, validate_schedule
 from merge_planner.strategy import (
     evaluate_plan,
     format_plan,
@@ -28,8 +34,59 @@ from merge_planner.strategy import (
 )
 
 
+dp_module = importlib.import_module("merge_planner.pareto_dp")
+
+# deterministic example generation and no example database: tier-1 reruns stay reproducible
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
 def _op(entries, interval=(1, 1)):
     return DiagOperator(entries=entries, interval=interval)
+
+
+def _skyline_oracle(signed):
+    """O(n^2) reference: keep row k unless a row dominates it or an earlier row equals it."""
+    kept = []
+    for k, row in enumerate(signed):
+        dominated = any(
+            np.all(other >= row) and np.any(other > row) for other in signed
+        )
+        repeated = any(np.array_equal(other, row) for other in signed[:k])
+        if not (dominated or repeated):
+            kept.append(k)
+    return kept
+
+
+@st.composite
+def signed_rows(draw):
+    """(n, d) arrays from a small value pool, so ties, duplicates and -0.0 are common."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    pool = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.5, 1.0, 2.0])
+    fine = st.floats(-2.0, 2.0, allow_nan=False)
+    values = draw(st.lists(st.one_of(pool, fine), min_size=n * d, max_size=n * d))
+    return np.array(values, dtype=np.float64).reshape(n, d)
+
+
+@st.composite
+def dp_problems(draw):
+    """A random valid, non-cosine schedule with T <= 8, data and training time."""
+    T = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
+    alpha = 1.0 - np.cumsum(steps) / np.sum(steps)
+    alpha[-1] = 0.0
+    alpha = np.concatenate([[1.0], alpha])
+    sched = NoiseSchedule(alpha=alpha, sigma=np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)))
+    d = draw(st.integers(1, 3))
+    lam = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.5, 0.95, 1.0, 1.05, 3.0]), st.floats(0.1, 4.0)),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    s_train = draw(st.sampled_from([0.0, 1.6, 6.4, 20.0]))
+    return sched, DiagGaussian(lam), s_train
 
 
 class TestPreferenceVector:
@@ -124,6 +181,39 @@ class TestInsertAndPrune:
                     assert not dominates(b, c, rho)
 
 
+class TestSkyline:
+    """The batch pruning primitive behind both the DP and ``insert_and_prune``."""
+
+    def test_empty_and_single(self):
+        assert _skyline(np.empty((0, 3))).tolist() == []
+        assert _skyline(np.array([[0.3, 0.2]])).tolist() == [0]
+
+    def test_scalar_first_maximum(self):
+        assert _skyline(np.array([[0.1], [0.7], [0.2], [0.7]])).tolist() == [1]
+
+    def test_two_dim_order_and_first_duplicate(self):
+        signed = np.array([[0.5, 0.1], [0.2, 0.9], [0.5, 0.1], [0.1, 0.1], [0.6, 0.0]])
+        assert _skyline(signed).tolist() == [0, 1, 4]
+
+    def test_later_row_sweeps_earlier(self):
+        signed = np.array([[0.1, 0.1, 0.1], [0.2, 0.0, 0.3], [0.2, 0.1, 0.3]])
+        assert _skyline(signed).tolist() == [2]
+
+    def test_signed_zeros_are_duplicates(self):
+        signed = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]])
+        assert _skyline(signed).tolist() == [0]
+
+    @PROPERTY_SETTINGS
+    @given(signed_rows())
+    def test_matches_quadratic_oracle(self, signed):
+        expected = _skyline_oracle(signed)
+        assert _skyline(signed).tolist() == expected
+        # several sort-filter blocks per call, so survivors carry across blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dp_module, "_SFS_BLOCK", 3)
+            assert _skyline(signed).tolist() == expected
+
+
 class TestMergeMapMonotonicity:
     def test_strictly_increasing_in_both_arguments(self):
         rng = np.random.default_rng(47)
@@ -212,6 +302,49 @@ class TestParetoDp:
         assert max(uncapped.frontier_sizes.values()) > 1
         with pytest.raises(FrontierCapExceeded):
             pareto_dp(sched, data, shrink, surr, max_frontier_size=1)
+
+    def test_default_cap_stops_four_dim_growth(self):
+        sched = make_cosine_schedule(16)
+        data = DiagGaussian([2.0, 0.5, 1.1, 0.9])
+        shrink = shrinkage(sched, data, 3.2)
+        surr = surrogate_target(sched, data)
+        with pytest.raises(FrontierCapExceeded, match=f"cap {DEFAULT_MAX_FRONTIER}"):
+            pareto_dp(sched, data, shrink, surr)
+
+    def test_chunking_does_not_change_result(self, monkeypatch):
+        sched = make_cosine_schedule(9)
+        data = DiagGaussian([1.08, 0.95, 3.0])
+        shrink = shrinkage(sched, data, 6.4)
+        # shifted targets make different frontier rows optimal, so plans are
+        # rebuilt through back-pointers of many splits and chunks
+        targets = [
+            DiagOperator(entries=surrogate_target(sched, data).entries * f, interval=(1, 9))
+            for f in ([1.0, 1.0, 1.0], [0.5, 1.5, 0.9], [2.0, 0.3, 1.1], [0.2, 0.2, 3.0])
+        ]
+        whole = [pareto_dp(sched, data, shrink, t) for t in targets]
+        # one skyline call per split and tiny sort-filter blocks
+        monkeypatch.setattr(dp_module, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(dp_module, "_SFS_BLOCK", 5)
+        for target, ref in zip(targets, whole):
+            chunked = pareto_dp(sched, data, shrink, target)
+            assert chunked.frontier_sizes == ref.frontier_sizes
+            assert format_plan(chunked.plan) == format_plan(ref.plan)
+            assert chunked.objective == ref.objective
+            replayed = evaluate_plan(chunked.plan, sched, data, shrink)
+            np.testing.assert_allclose(replayed.entries, chunked.best.entries, rtol=1e-12)
+
+    @settings(PROPERTY_SETTINGS, max_examples=30)
+    @given(dp_problems())
+    def test_oracle_equivalence_random_schedules(self, problem):
+        sched, data, s_train = problem
+        assert validate_schedule(sched).ok
+        shrink = shrinkage(sched, data, s_train)
+        surr = surrogate_target(sched, data)
+        dp = pareto_dp(sched, data, shrink, surr)
+        bf = brute_force_optimum(sched, data, shrink, surr)
+        assert abs(dp.objective - bf.objective) <= 1e-12 * max(1.0, bf.objective)
+        replayed = evaluate_plan(dp.plan, sched, data, shrink)
+        assert w2_objective(replayed, surr) == pytest.approx(dp.objective, abs=1e-12)
 
     def test_deterministic_output(self):
         sched = make_cosine_schedule(7)

@@ -228,6 +228,17 @@ class TestRunPlan:
         assert float(boot_row.split(",")[2]) <= 1e-12
 
 
+    def test_invalid_schedule_file_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("t,alpha\n0,1.0\n1,0.5\n2,0.7\n3,0.0\n")
+        cfg = ExperimentConfig(
+            kind="plan", T=3, schedule="file", schedule_file=path, out_dir=tmp_path
+        )
+        with pytest.raises(ValueError, match="alpha monotonicity violation at index 2"):
+            run_plan(cfg)
+        assert not (tmp_path / "plan.txt").exists()
+
+
 class TestGmmRunners:
     def test_approx_rows_and_monotonicity(self, tmp_path):
         cfg = ExperimentConfig(

@@ -114,3 +114,9 @@ class TestScheduleCsv:
         path.write_text("t,alpha\n0,1.0\n2,0.0\n")
         with pytest.raises(ValueError):
             read_schedule_csv(path)
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("t,alpha\n0,1.0\n1,0.5\n1,0.6\n2,0.0\n")
+        with pytest.raises(ValueError, match="t=1 more than once"):
+            read_schedule_csv(path)
