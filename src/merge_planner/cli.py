@@ -28,12 +28,11 @@ __all__ = ["main"]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file (INI sections: experiment, lambda, gmm)")
+    parser.add_argument("--config", help="config file (INI sections: experiment, lambda, sweep, gmm)")
     parser.add_argument("--T", type=int, dest="T", help="number of trajectory steps")
     parser.add_argument("--s", type=float, dest="s_train", help="optimization time per merge")
     parser.add_argument("--seed", type=int, help="root seed for all stochastic steps")
     parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--workers", type=int, help="process pool size for sweeps")
     parser.add_argument(
         "--schedule-file",
         dest="schedule_file",
@@ -72,14 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--mixture", dest="mixture_file", help="mixture specification file")
     p_prop.add_argument("--split", type=int, help="first-stage horizon k1 (default T/2)")
 
-    p_verify = sub.add_parser("verify", help="run every acceptance criterion")
-    _add_common(p_verify)
+    sub.add_parser("verify", help="run every acceptance criterion")
     return parser
 
 
 def _overrides(args: argparse.Namespace, kind: str) -> dict:
     over: dict = {"kind": kind}
-    for key in ("T", "s_train", "seed", "out_dir", "workers", "schedule_file", "mixture_file", "split"):
+    for key in ("T", "s_train", "seed", "out_dir", "schedule_file", "mixture_file", "split"):
         if getattr(args, key, None) is not None:
             over[key] = getattr(args, key)
     if getattr(args, "schedule_file", None) is not None:
@@ -98,6 +96,9 @@ def _overrides(args: argparse.Namespace, kind: str) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
+    if command == "verify":
+        results = verify_mod.run_all()
+        return 0 if all(r.passed for r in results) else 1
     cfg = load_config(args.config, overrides=_overrides(args, command))
 
     if command == "plan":
@@ -144,10 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rhs    = {a.rhs:.6f}; inequality holds: {a.holds}")
         print(f"wrote {result.path}")
         return 0 if a.holds else 1
-
-    if command == "verify":
-        results = verify_mod.run_all()
-        return 0 if all(r.passed for r in results) else 1
 
     raise AssertionError(f"unhandled command {command!r}")
 

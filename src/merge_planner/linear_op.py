@@ -385,7 +385,10 @@ def read_operator_csv(path: str | Path, interval: tuple[int, int]) -> DiagOperat
         if not line.strip():
             continue
         i_str, e_str = line.split(",")
-        entries[int(i_str)] = float(e_str)
+        i = int(i_str)
+        if i in entries:
+            raise ValueError(f"operator CSV repeats the row for i={i}")
+        entries[i] = float(e_str)
     if sorted(entries) != list(range(1, len(entries) + 1)):
         raise ValueError("operator CSV must list every i in 1..d exactly once")
     values = np.array([entries[i] for i in range(1, len(entries) + 1)])
@@ -412,7 +415,10 @@ def read_shrinkage_csv(path: str | Path) -> np.ndarray:
         if not line.strip():
             continue
         t_str, i_str, g_str = line.split(",")
-        cells[(int(t_str), int(i_str))] = float(g_str)
+        key = (int(t_str), int(i_str))
+        if key in cells:
+            raise ValueError(f"shrinkage CSV repeats the row for (t, i)={key}")
+        cells[key] = float(g_str)
     T = max(t for t, _ in cells)
     d = max(i for _, i in cells)
     if len(cells) != T * d:

@@ -47,6 +47,7 @@ __all__ = [
     "insert_and_prune",
     "DpResult",
     "pareto_dp",
+    "scalar_dp",
     "BruteForceResult",
     "brute_force_optimum",
     "MAX_BRUTE_FORCE_T",
@@ -284,6 +285,45 @@ def pareto_dp(
         objective=best_obj,
         frontier_sizes={iv: len(rows) for iv, rows in entries.items()},
     )
+
+
+def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Root entries of ``n`` independent d = 1 DPs, one per column.
+
+    ``single`` and ``gamma`` are ``(T, n)`` matrices (row ``t-1`` holds step
+    ``t``), as from :func:`single_step_matrix` and ``shrinkage(...).gamma``;
+    ``rho`` is the ``(n,)`` preference vector.  At d = 1 every frontier holds
+    exactly one item, so each cell keeps one value.  The loop runs over
+    interval lengths only; start times and columns are vectorized.
+
+    Bit-identity contract: entry ``k`` equals ``pareto_dp(...).best.entries``
+    for column ``k`` alone, bit for bit.  Candidates come in ``pareto_dp``
+    order (the one-shot merge, then the splits by ascending ``m``), with the
+    same arithmetic, ``(1-g)*prod + g*single[t2]`` and
+    ``(1-g)*(left*right) + g*right``, the one-shot product extended by one
+    step per length, and the survivor is the first ``argmax(candidate * rho)``
+    as in :func:`_skyline` at d = 1.
+    """
+    T, n = single.shape
+    value = np.empty((T, T, n))  # value[t1-1, t2-1]: the entry kept for (t1, t2)
+    steps = np.arange(T)
+    value[steps, steps] = single
+    prods = single  # prods[t1-1]: product of single steps t1..t2
+    for length in range(2, T + 1):
+        starts = steps[: T - length + 1]
+        ends = starts + (length - 1)
+        g = gamma[ends]
+        one_minus_g = 1.0 - g
+        prods = prods[:-1] * single[ends]
+        one_shot = one_minus_g * prods + g * single[ends]
+        left_len = np.arange(1, length)[:, None]  # split m = t1 + left_len - 1
+        left = value[starts, starts + left_len - 1]
+        right = value[starts + left_len, ends]
+        merged = one_minus_g * (left * right) + g * right
+        cand = np.concatenate([one_shot[None], merged])
+        best = np.argmax(cand * rho, axis=0)
+        value[starts, ends] = np.take_along_axis(cand, best[None], axis=0)[0]
+    return value[0, T - 1]
 
 
 def _build_plan(back: dict, t1: int, t2: int, k: int) -> MergePlan:

@@ -8,7 +8,6 @@ diagrams are rendered as standalone SVG with no plotting dependency.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import os
 from dataclasses import dataclass, replace
@@ -32,8 +31,14 @@ from .gmm import (
     single_step_moe,
     DEFAULT_EXPANSION_CAP,
 )
-from .linear_op import DiagGaussian, shrinkage, surrogate_target, w2_objective
-from .pareto_dp import pareto_dp
+from .linear_op import (
+    DiagGaussian,
+    shrinkage,
+    single_step_matrix,
+    surrogate_target,
+    w2_objective,
+)
+from .pareto_dp import PreferenceVector, pareto_dp, scalar_dp
 from .schedule import (
     NoiseSchedule,
     make_cosine_schedule,
@@ -100,7 +105,6 @@ class ExperimentConfig:
     out_dir: Path = Path("results")
     schedule: str = "cosine"
     schedule_file: Path | None = None
-    workers: int = 1
     lam_values: tuple[float, ...] | None = None
     lambda_grid: str = "log"
     lambda_min: float = 0.2
@@ -160,10 +164,30 @@ def load_config(
     return cfg
 
 
+# every key a config file may set, per section; configparser lowercases keys
+_FILE_KEYS = {
+    "experiment": {"kind", "t", "s", "seed", "out", "schedule", "schedule_file"},
+    "lambda": {"values", "grid"},
+    "sweep": {"t_grid", "s_grid"},
+    "gmm": {
+        "mixture_file", "circle_k", "circle_radius", "circle_std", "k_grid",
+        "start_t", "split", "n_fit", "n_mc", "expansion_cap",
+    },
+}
+
+
 def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
+    if parser.defaults():
+        raise ValueError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _FILE_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _FILE_KEYS[section]:
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
     changes: dict = {}
     if parser.has_section("experiment"):
         sec = parser["experiment"]
@@ -175,7 +199,6 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
             ("out", str),
             ("schedule", str),
             ("schedule_file", str),
-            ("workers", int),
         ):
             if key in sec and sec[key].strip():
                 field_name = {"s": "s_train", "out": "out_dir"}.get(key, key)
@@ -299,17 +322,20 @@ def run_plan(cfg: ExperimentConfig) -> PlanResult:
     )
 
 
-def _strategy_objectives(sched, data, shrink, surr) -> dict[str, float | None]:
-    T = sched.T
-    plans = {
+def _canonical_plans(T: int) -> dict[str, MergePlan | None]:
+    """The four canonical strategies; progressive is None unless T is a power of two."""
+    return {
         "vanilla": plan_vanilla(T),
         "progressive": plan_progressive(T) if (T & (T - 1)) == 0 else None,
         "boot": plan_sequential_boot(T),
         "consistency": plan_sequential_consistency(T),
     }
+
+
+def _strategy_objectives(sched, data, shrink, surr) -> dict[str, float | None]:
     return {
         name: None if plan is None else w2_objective(evaluate_plan(plan, sched, data, shrink), surr)
-        for name, plan in plans.items()
+        for name, plan in _canonical_plans(sched.T).items()
     }
 
 
@@ -352,31 +378,12 @@ class AblationResult:
     paths: tuple[Path, ...]
 
 
-def _sweep_point(args: tuple[int, float, float]) -> SweepRecord:
-    T, s_train, lam = args
-    sched = make_cosine_schedule(T)
-    data = DiagGaussian([lam])
-    shrink = shrinkage(sched, data, s_train)
-    surr = surrogate_target(sched, data)
-    dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
-    obj = _strategy_objectives(sched, data, shrink, surr)
-    return SweepRecord(
-        lam=lam,
-        vanilla=obj["vanilla"],
-        progressive=obj["progressive"],
-        boot=obj["boot"],
-        consistency=obj["consistency"],
-        dp=dp.objective,
-        flags="" if obj["progressive"] is not None else "progressive_skipped",
-    )
-
-
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Evaluate the four canonical strategies and the DP optimum over the lambda grid.
 
-    Grid points are independent; with ``workers > 1`` they run in a process
-    pool, and rows are sorted by grid key before emission either way so the
-    output bytes never depend on scheduling.
+    The whole grid is one batched pass: each lambda is one coordinate of a
+    single ``DiagGaussian``, the DP is :func:`scalar_dp` over all columns at
+    once, and rows are sorted by lambda before emission.
     """
     if cfg.schedule != "cosine":
         raise ValueError("sweeps are defined on the built-in cosine schedule")
@@ -405,12 +412,7 @@ def run_ablation(cfg: ExperimentConfig) -> AblationResult:
 
 def _run_one_sweep(cfg: ExperimentConfig, T: int, s_train: float, path: Path) -> SweepResult:
     lambdas = cfg.sweep_lambdas()
-    jobs = [(T, s_train, float(lam)) for lam in lambdas]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_sweep_point, jobs))
-    else:
-        records = [_sweep_point(job) for job in jobs]
+    records = _sweep_records(T, s_train, lambdas) if lambdas.size else []
     records.sort(key=lambda r: r.lam)
 
     lines = [_SWEEP_HEADER]
@@ -437,6 +439,39 @@ def _run_one_sweep(cfg: ExperimentConfig, T: int, s_train: float, path: Path) ->
         )
     written = _write(path, "\n".join(lines) + "\n")
     return SweepResult(records=tuple(records), path=written)
+
+
+def _sweep_records(T: int, s_train: float, lambdas: np.ndarray) -> list[SweepRecord]:
+    """One record per lambda, from a single d = len(lambdas) problem.
+
+    Every quantity is coordinate-separable, so column k is the d = 1 problem
+    of ``data.lam[k]`` (sorted descending), bit for bit.  The objective is
+    taken per coordinate, ``(surr - e) * (surr - e)``, which is what
+    ``w2_objective`` computes at d = 1.
+    """
+    sched = make_cosine_schedule(T)
+    data = DiagGaussian(lambdas)
+    shrink = shrinkage(sched, data, s_train)
+    surr = surrogate_target(sched, data).entries
+    rho = PreferenceVector.from_variances(data).rho
+    entries = {
+        name: None if plan is None else evaluate_plan(plan, sched, data, shrink).entries
+        for name, plan in _canonical_plans(T).items()
+    }
+    entries["dp"] = scalar_dp(single_step_matrix(sched, data), shrink.gamma, rho)
+    obj = {name: None if e is None else (surr - e) * (surr - e) for name, e in entries.items()}
+    return [
+        SweepRecord(
+            lam=float(lam),
+            vanilla=float(obj["vanilla"][k]),
+            progressive=None if obj["progressive"] is None else float(obj["progressive"][k]),
+            boot=float(obj["boot"][k]),
+            consistency=float(obj["consistency"][k]),
+            dp=float(obj["dp"][k]),
+            flags="" if obj["progressive"] is not None else "progressive_skipped",
+        )
+        for k, lam in enumerate(data.lam)
+    ]
 
 
 # --------------------------------------------------------------------------

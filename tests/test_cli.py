@@ -1,3 +1,5 @@
+import pytest
+
 from merge_planner.cli import main
 from merge_planner.linear_op import DiagGaussian, shrinkage, surrogate_target
 from merge_planner.pareto_dp import pareto_dp
@@ -90,3 +92,10 @@ def test_gmm_propagate_subcommand(tmp_path):
     )
     assert rc == 0
     assert (tmp_path / "gmm_propagate.csv").exists()
+
+
+def test_verify_rejects_common_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--T", "8"])
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err

@@ -1,17 +1,22 @@
-"""Byte-for-byte comparison of ``run_plan`` outputs with frozen fixtures.
+"""Byte-for-byte comparison of ``run_plan`` and sweep outputs with frozen fixtures.
 
-The files under ``tests/golden/<case>/`` were written by ``run_plan`` (default
-``s_train`` 6.4, cosine schedule) at the commit before the batch-skyline
-rewrite of the Pareto DP, so any change to the DP that alters the frontier
-order, the chosen plan or a single output byte fails here.  The
+The plan files under ``tests/golden/<case>/`` were written by ``run_plan``
+(default ``s_train`` 6.4, cosine schedule) at the commit before the
+batch-skyline rewrite of the Pareto DP, so any change to the DP that alters
+the frontier order, the chosen plan or a single output byte fails here.  The
 three-coordinate case exercises the d >= 3 skyline path.
+
+The sweep files were written by ``run_sweep`` and ``run_ablation`` at the
+commit before the sweep became one batched pass over the lambda grid, when
+every grid point still ran the general Pareto DP on its own.  The explicit
+T = 6 grid covers the ``progressive_skipped`` rows.
 """
 
 from pathlib import Path
 
 import pytest
 
-from merge_planner.report import ExperimentConfig, run_plan
+from merge_planner.report import ExperimentConfig, run_ablation, run_plan, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 FILES = ("plan.txt", "frontier.csv", "summary.csv", "plan.svg")
@@ -22,10 +27,19 @@ CASES = {
     "lam_1.08_0.95_T16": ((1.08, 0.95), 16),
     "lam_1.08_0.95_3_T8": ((1.08, 0.95, 3.0), 8),
 }
+# the default grid is 50 log-spaced lambdas in [0.2, 5] at T = 32, s = 6.4
+SWEEP_CASES = {
+    "sweep_log50_T32": (run_sweep, {}),
+    "sweep_explicit_T6": (run_sweep, {"T": 6, "lam_values": (0.2, 1.0, 1.08, 5.0)}),
+    "ablation_log50_T8_16": (run_ablation, {"T_grid": (8, 16), "s_grid": (0.0, 6.4)}),
+}
 
 
 def test_every_fixture_directory_is_checked():
-    assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(CASES)
+    assert not set(CASES) & set(SWEEP_CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(
+        [*CASES, *SWEEP_CASES]
+    )
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -33,5 +47,16 @@ def test_run_plan_matches_golden_bytes(case, tmp_path):
     lam, T = CASES[case]
     run_plan(ExperimentConfig(kind="plan", T=T, lam_values=lam, out_dir=tmp_path))
     for name in FILES:
+        expected = (GOLDEN / case / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == expected, f"{case}/{name} differs"
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_golden_bytes(case, tmp_path):
+    run, fields = SWEEP_CASES[case]
+    run(ExperimentConfig(kind="sweep", out_dir=tmp_path, **fields))
+    names = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
         expected = (GOLDEN / case / name).read_bytes()
         assert (tmp_path / name).read_bytes() == expected, f"{case}/{name} differs"

@@ -380,6 +380,19 @@ class TestOperatorCsv:
         back = read_shrinkage_csv(path)
         np.testing.assert_array_equal(back, prof.gamma)
 
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "op.csv"
+        path.write_text("i,entry\n1,0.5\n1,0.9\n")
+        with pytest.raises(ValueError, match="repeats the row for i=1"):
+            read_operator_csv(path, interval=(1, 1))
+
+    def test_shrinkage_duplicate_row_rejected(self, tmp_path):
+        # two distinct cells for T=2, d=1, so only the repeat can give it away
+        path = tmp_path / "gamma.csv"
+        path.write_text("t,i,gamma\n1,1,0.5\n1,1,0.9\n2,1,0.7\n")
+        with pytest.raises(ValueError, match=r"repeats the row for \(t, i\)=\(1, 1\)"):
+            read_shrinkage_csv(path)
+
 
 class TestDiagOperator:
     def test_rejects_negative_entries(self):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from merge_planner.linear_op import (
     DiagGaussian,
     DiagOperator,
+    critical_variance,
     shrinkage,
+    single_step_matrix,
     surrogate_target,
     w2_objective,
 )
@@ -21,6 +23,7 @@ from merge_planner.pareto_dp import (
     dominates,
     insert_and_prune,
     pareto_dp,
+    scalar_dp,
     _skyline,
 )
 from merge_planner.schedule import NoiseSchedule, make_cosine_schedule, validate_schedule
@@ -68,15 +71,19 @@ def signed_rows(draw):
     return np.array(values, dtype=np.float64).reshape(n, d)
 
 
-@st.composite
-def dp_problems(draw):
-    """A random valid, non-cosine schedule with T <= 8, data and training time."""
-    T = draw(st.integers(1, 8))
+def _random_schedule(draw, T):
+    """A valid, non-cosine schedule: alpha falls from 1 to 0 in random steps."""
     steps = draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T))
     alpha = 1.0 - np.cumsum(steps) / np.sum(steps)
     alpha[-1] = 0.0
     alpha = np.concatenate([[1.0], alpha])
-    sched = NoiseSchedule(alpha=alpha, sigma=np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)))
+    return NoiseSchedule(alpha=alpha, sigma=np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)))
+
+
+@st.composite
+def dp_problems(draw):
+    """A random valid, non-cosine schedule with T <= 8, data and training time."""
+    sched = _random_schedule(draw, draw(st.integers(1, 8)))
     d = draw(st.integers(1, 3))
     lam = draw(
         st.lists(
@@ -87,6 +94,22 @@ def dp_problems(draw):
     )
     s_train = draw(st.sampled_from([0.0, 1.6, 6.4, 20.0]))
     return sched, DiagGaussian(lam), s_train
+
+
+@st.composite
+def sweep_problems(draw):
+    """A random valid schedule with T <= 24, a lambda grid and a training time.
+
+    The grid draws from a pool holding 1.0 and values just below, at and
+    above the critical variance, so duplicates and both phases are common.
+    """
+    sched = _random_schedule(draw, draw(st.integers(1, 24)))
+    crit = max(critical_variance(sched)[0], 0.1)
+    pool = st.sampled_from(
+        [1.0, 0.5, np.nextafter(crit, 0.0), crit, np.nextafter(crit, np.inf), 2.0 * crit]
+    )
+    lams = draw(st.lists(st.one_of(pool, st.floats(0.05, 20.0)), min_size=1, max_size=5))
+    return sched, lams, draw(st.floats(0.0, 10.0))
 
 
 class TestPreferenceVector:
@@ -345,6 +368,26 @@ class TestParetoDp:
         assert abs(dp.objective - bf.objective) <= 1e-12 * max(1.0, bf.objective)
         replayed = evaluate_plan(dp.plan, sched, data, shrink)
         assert w2_objective(replayed, surr) == pytest.approx(dp.objective, abs=1e-12)
+
+    @settings(PROPERTY_SETTINGS, max_examples=30)
+    @given(sweep_problems())
+    def test_scalar_dp_matches_pareto_dp_bitwise(self, problem):
+        sched, lams, s_train = problem
+        assert validate_schedule(sched).ok
+        data = DiagGaussian(lams)
+        shrink = shrinkage(sched, data, s_train)
+        rho = PreferenceVector.from_variances(data).rho
+        roots = scalar_dp(single_step_matrix(sched, data), shrink.gamma, rho)
+        surr = surrogate_target(sched, data).entries
+        for k, lam in enumerate(data.lam):
+            one = DiagGaussian([lam])
+            dp = pareto_dp(
+                sched, one, shrinkage(sched, one, s_train), surrogate_target(sched, one),
+                keep_plans=False,
+            )
+            assert roots[k : k + 1].tobytes() == dp.best.entries.tobytes()
+            diff = surr[k] - roots[k]
+            assert (diff * diff).tobytes() == np.float64(dp.objective).tobytes()
 
     def test_deterministic_output(self):
         sched = make_cosine_schedule(7)

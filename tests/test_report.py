@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,30 @@ class TestConfig:
         )
         assert cfg.seed == 5
         assert cfg.T == 8  # None overrides are ignored
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("[experiment]\nTT = 8\n", "unknown key 'tt' in section [experiment]"),
+            ("[lamda]\nvalues = 0.5\n", "unknown section [lamda]"),
+            ("[experiment]\nworkers = 2\n", "unknown key 'workers' in section [experiment]"),
+            ("[gmm]\nk = 2\n", "unknown key 'k' in section [gmm]"),
+            ("[DEFAULT]\nT = 8\n", "unknown section [DEFAULT]"),
+        ],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, where):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_config(path, env={})
+        assert str(err.value) == f"{path}: {where}"
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "cfg.ini"
+        path.write_text(readme.split("```ini\n")[1].split("```")[0])
+        cfg = load_config(path, env={})
+        assert cfg.kind == "sweep" and cfg.lambda_points == 50 and cfg.T_grid == (32, 64)
 
     def test_default_sweep_grid(self):
         cfg = ExperimentConfig(kind="sweep")
@@ -116,18 +142,11 @@ class TestSweep:
         )
         assert run_sweep(cfg_a).path.read_bytes() == run_sweep(cfg_b).path.read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = ExperimentConfig(
-            kind="sweep", T=8, lam_values=(0.5, 1.0, 2.0), out_dir=tmp_path / "s"
-        )
-        parallel = ExperimentConfig(
-            kind="sweep",
-            T=8,
-            lam_values=(0.5, 1.0, 2.0),
-            out_dir=tmp_path / "p",
-            workers=2,
-        )
-        assert run_sweep(serial).path.read_bytes() == run_sweep(parallel).path.read_bytes()
+    def test_empty_grid_writes_header_only(self, tmp_path):
+        cfg = ExperimentConfig(kind="sweep", T=8, lambda_points=0, out_dir=tmp_path)
+        res = run_sweep(cfg)
+        assert res.records == ()
+        assert len(res.path.read_text().splitlines()) == 1
 
 
 class TestAblation:
