@@ -10,13 +10,26 @@ The sweep files were written by ``run_sweep`` and ``run_ablation`` at the
 commit before the sweep became one batched pass over the lambda grid, when
 every grid point still ran the general Pareto DP on its own.  The explicit
 T = 6 grid covers the ``progressive_skipped`` rows.
+
+The mixture files were written by ``run_gmm_approx`` (k = 1..3 on the
+default circle mixture) and ``run_gmm_propagate`` (T = 10) at the commit
+before each fitting set was gated once.  A one-ulp change in posterior
+gating can flip a k-means partition, so these are compared byte for byte as
+well.
 """
 
 from pathlib import Path
 
 import pytest
 
-from merge_planner.report import ExperimentConfig, run_ablation, run_plan, run_sweep
+from merge_planner.report import (
+    ExperimentConfig,
+    run_ablation,
+    run_gmm_approx,
+    run_gmm_propagate,
+    run_plan,
+    run_sweep,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 FILES = ("plan.txt", "frontier.csv", "summary.csv", "plan.svg")
@@ -33,12 +46,20 @@ SWEEP_CASES = {
     "sweep_explicit_T6": (run_sweep, {"T": 6, "lam_values": (0.2, 1.0, 1.08, 5.0)}),
     "ablation_log50_T8_16": (run_ablation, {"T_grid": (8, 16), "s_grid": (0.0, 6.4)}),
 }
+GMM_CASES = {
+    "gmm_approx_k123_seed0": (run_gmm_approx, {"seed": 0, "n_fit": 512, "n_mc": 2000}),
+    "gmm_approx_k123_seed5": (run_gmm_approx, {"seed": 5, "n_fit": 512, "n_mc": 2000}),
+    "gmm_propagate_T10_seed0": (run_gmm_propagate, {"T": 10, "seed": 0, "n_fit": 1024, "n_mc": 3000}),
+    "gmm_propagate_T10_seed5": (run_gmm_propagate, {"T": 10, "seed": 5, "n_fit": 1024, "n_mc": 3000}),
+}
 
 
 def test_every_fixture_directory_is_checked():
-    assert not set(CASES) & set(SWEEP_CASES)
+    kinds = (set(CASES), set(SWEEP_CASES), set(GMM_CASES))
+    for directory in (p.name for p in GOLDEN.iterdir() if p.is_dir()):
+        assert sum(directory in kind for kind in kinds) == 1, directory
     assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(
-        [*CASES, *SWEEP_CASES]
+        [*CASES, *SWEEP_CASES, *GMM_CASES]
     )
 
 
@@ -51,12 +72,23 @@ def test_run_plan_matches_golden_bytes(case, tmp_path):
         assert (tmp_path / name).read_bytes() == expected, f"{case}/{name} differs"
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_matches_golden_bytes(case, tmp_path):
-    run, fields = SWEEP_CASES[case]
-    run(ExperimentConfig(kind="sweep", out_dir=tmp_path, **fields))
+def _assert_same_files(case, tmp_path):
     names = sorted(p.name for p in (GOLDEN / case).iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         expected = (GOLDEN / case / name).read_bytes()
         assert (tmp_path / name).read_bytes() == expected, f"{case}/{name} differs"
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_golden_bytes(case, tmp_path):
+    run, fields = SWEEP_CASES[case]
+    run(ExperimentConfig(kind="sweep", out_dir=tmp_path, **fields))
+    _assert_same_files(case, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(GMM_CASES))
+def test_gmm_matches_golden_bytes(case, tmp_path):
+    run, fields = GMM_CASES[case]
+    run(ExperimentConfig(out_dir=tmp_path, **fields))
+    _assert_same_files(case, tmp_path)
