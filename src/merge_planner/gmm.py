@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .schedule import NoiseSchedule
 
@@ -83,13 +82,17 @@ class GaussianMixture:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
         if np.max(np.abs(cov - np.transpose(cov, (0, 2, 1)))) > 1e-10:
             raise ValueError("component covariances must be symmetric within 1e-10")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10:
+        vals, vecs = np.linalg.eigh(cov)
+        if np.min(vals) < -1e-10:
             raise ValueError("component covariances must be PSD within -1e-10")
-        for arr in (pi, mu, cov):
+        vals = np.maximum(vals, 0.0)
+        for arr in (pi, mu, cov, vals, vecs):
             arr.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "_eig_vals", vals)
+        object.__setattr__(self, "_eig_vecs", vecs)
 
     @property
     def K(self) -> int:
@@ -111,9 +114,11 @@ def make_circle_mixture(K: int = 8, radius: float = 5.0, iso_std: float = 0.3) -
 
 
 def _component_eigs(gmm: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompositions ``cov[k] = Q[k] diag(vals[k]) Q[k]^T``, clamped to PSD."""
-    vals, vecs = np.linalg.eigh(gmm.cov)
-    return np.maximum(vals, 0.0), vecs
+    """Eigendecompositions ``cov[k] = Q[k] diag(vals[k]) Q[k]^T``, clamped to PSD.
+
+    Computed once, when the mixture is constructed.
+    """
+    return gmm._eig_vals, gmm._eig_vecs  # type: ignore[attr-defined]
 
 
 def _as_batch(z) -> tuple[np.ndarray, bool]:
@@ -123,6 +128,32 @@ def _as_batch(z) -> tuple[np.ndarray, bool]:
     if z.ndim != 2:
         raise ValueError(f"z must be a d-vector or an (n, d) batch, got shape {z.shape}")
     return z, False
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1, keepdims=True)`` with scipy's exact arithmetic.
+
+    The max entries of each row are counted (``m``) instead of summed, so the
+    result is ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
+    ``exp(a - max)`` over the other entries; rows where that is not finite
+    fall back to ``log(sum(exp(a)))``.  A plain max-shift log-sum-exp differs
+    in the last ulp, which is enough to flip a k-means partition downstream.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # column by column: a reduction along rows of a few entries is slow
+        a_max = a[:, :1].copy()
+        for j in range(1, a.shape[1]):
+            np.maximum(a_max, a[:, j : j + 1], out=a_max)
+        at_max = a == a_max
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        s = np.sum(e, axis=1, keepdims=True)
+        m = np.sum(at_max, axis=1, keepdims=True, dtype=np.float64)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out[:, 0])
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1, keepdims=True))
+    return out
 
 
 def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z) -> np.ndarray:
@@ -144,7 +175,7 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
         quad = np.sum(y * y / noisy_vals[k], axis=1)
         logdet = float(np.sum(np.log(noisy_vals[k])))
         lw[:, k] = np.log(gmm.pi[k]) - 0.5 * (gmm.d * _LOG_2PI + logdet + quad)
-    lw -= logsumexp(lw, axis=1, keepdims=True)
+    lw -= _logsumexp_rows(lw)
     return lw[0] if single else lw
 
 
@@ -280,16 +311,26 @@ class PathGating:
 
     ops: tuple
 
-    def weights(self, z2: np.ndarray) -> np.ndarray:
-        w = None
+    def stage_weights(self, z2: np.ndarray) -> list[np.ndarray]:
+        """Per-stage gating weights along the trajectory, one ``(n, K_j)`` array per stage."""
+        stages = []
         point = z2
-        for op in self.ops:
+        for op in self.ops[:-1]:
             stage_w, point = op.weights_apply(point)
-            if w is None:
-                w = stage_w
-            else:
-                w = (w[:, :, None] * stage_w[:, None, :]).reshape(z2.shape[0], -1)
-        return w
+            stages.append(stage_w)
+        stages.append(self.ops[-1].gating.weights(point))
+        return stages
+
+    def weights(self, z2: np.ndarray) -> np.ndarray:
+        return _path_product(self.stage_weights(z2))
+
+
+def _path_product(stages: Sequence[np.ndarray]) -> np.ndarray:
+    """Expansion weights from stage weights: outer products, first stage most significant."""
+    w = stages[0]
+    for stage_w in stages[1:]:
+        w = (w[:, :, None] * stage_w[:, None, :]).reshape(w.shape[0], -1)
+    return w
 
 
 @dataclass(frozen=True)
@@ -444,6 +485,45 @@ def _chunk_size(n_components: int) -> int:
     return min(max(64, 4_000_000 // max(n_components, 1)), 8192)
 
 
+class _FittingSet:
+    """Fitting samples of one expansion, with its stage weights evaluated once.
+
+    The gating runs on the first pass, chunk by chunk at the ``_chunk_size``
+    boundaries, and keeps only the per-stage weights: n x sum(K_j) doubles,
+    not the n x prod(K_j) expansion weights.  Every pass forms the product
+    again per chunk, so it has the bits of ``expansion.gating.weights`` on
+    that chunk.
+    """
+
+    def __init__(self, expansion: CompositionExpansion, samples) -> None:
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.ndim != 2:
+            raise ValueError("samples must be an (n, d) array")
+        self.expansion = expansion
+        self.samples = samples
+        self._chunks: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+
+    def weights(self):
+        """Yield ``(z, w)`` per chunk: the samples and their ``(m, C)`` expansion weights."""
+        if self._chunks is None:
+            chunk = _chunk_size(self.expansion.n_experts)
+            self._chunks = []
+            for lo in range(0, self.samples.shape[0], chunk):
+                z = self.samples[lo : lo + chunk]
+                self._chunks.append((z, self.expansion.gating.stage_weights(z)))
+        for z, stages in self._chunks:
+            yield z, _path_product(stages)
+
+
+def _fitting_set(expansion: CompositionExpansion, samples) -> _FittingSet:
+    # ``_compress`` hands its already-gated set to the public functions
+    if isinstance(samples, _FittingSet):
+        if samples.expansion is not expansion:
+            raise ValueError("fitting set was gated for a different expansion")
+        return samples
+    return _FittingSet(expansion, samples)
+
+
 def _validate_partition(partition: Sequence[Sequence[int]], n_components: int) -> list[np.ndarray]:
     seen: set[int] = set()
     groups = []
@@ -492,10 +572,8 @@ def fit_cluster_student(
     Rank-deficient normal equations are regularized with ridge 1e-10 and
     flagged.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ValueError("samples must be an (n, d) array")
-    n, d = samples.shape
+    fitting = _fitting_set(expansion, samples)
+    n, d = fitting.samples.shape
     C = expansion.n_experts
     groups = _validate_partition(partition, C)
     K = len(groups)
@@ -506,12 +584,9 @@ def fit_cluster_student(
     qfull = np.zeros(K)
     cquad = np.zeros(K)
 
-    chunk = _chunk_size(C)
-    for lo in range(0, n, chunk):
-        z = samples[lo : lo + chunk]
+    for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        w = expansion.gating.weights(z)  # (m, C)
         g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
         gsq = np.sum(g * g, axis=2)  # (m, C)
         for k, idx in enumerate(groups):
@@ -564,13 +639,11 @@ def fit_cluster_student(
     )
 
 
-def _component_masses(expansion: CompositionExpansion, samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[0]
-    total = np.zeros(expansion.n_experts)
-    chunk = _chunk_size(expansion.n_experts)
-    for lo in range(0, n, chunk):
-        total += np.sum(expansion.gating.weights(samples[lo : lo + chunk]), axis=0)
-    return total / n
+def _component_masses(fitting: _FittingSet) -> np.ndarray:
+    total = np.zeros(fitting.expansion.n_experts)
+    for _, w in fitting.weights():
+        total += np.sum(w, axis=0)
+    return total / fitting.samples.shape[0]
 
 
 def _weighted_kmeans(
@@ -625,7 +698,7 @@ def choose_partition(
     groups (guarded to <= 9 components and <= 3 clusters) and returns the
     bound minimizer.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    fitting = _fitting_set(expansion, samples)
     C = expansion.n_experts
     if n_clusters is None:
         n_clusters = expansion.ops[0].n_experts
@@ -641,7 +714,7 @@ def choose_partition(
         feats = np.concatenate(
             [A_stack.reshape(C, -1), b_stack.reshape(C, -1)], axis=1
         )
-        masses = _component_masses(expansion, samples)
+        masses = _component_masses(fitting)
         labels = _weighted_kmeans(feats, masses, n_clusters, seed)
         groups = [np.nonzero(labels == j)[0].tolist() for j in range(n_clusters)]
         groups = [g for g in groups if g]
@@ -654,25 +727,22 @@ def choose_partition(
                 "exhaustive partition search is guarded to <= 9 components "
                 "and <= 3 clusters"
             )
-        return _exhaustive_partition(expansion, samples, n_clusters)
+        return _exhaustive_partition(fitting, n_clusters)
 
     raise ValueError(f"unknown partition method {method!r}")
 
 
-def _partition_moments(expansion: CompositionExpansion, samples: np.ndarray):
+def _partition_moments(fitting: _FittingSet):
     """Per-component normal-equation moments (additive over cluster members)."""
-    n, d = samples.shape
-    C = expansion.n_experts
-    A_stack, b_stack = expansion._stacks()
+    d = fitting.samples.shape[1]
+    C = fitting.expansion.n_experts
+    A_stack, b_stack = fitting.expansion._stacks()
     H = np.zeros((C, d + 1, d + 1))
     R = np.zeros((C, d, d + 1))
     q = np.zeros(C)
-    chunk = _chunk_size(C)
-    for lo in range(0, n, chunk):
-        z = samples[lo : lo + chunk]
+    for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        w = expansion.gating.weights(z)
         g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
         H += np.einsum("mc,mi,mj->cij", w, u, u, optimize=True)
         R += np.einsum("mc,mci,mj->cij", w, g, u, optimize=True)
@@ -699,14 +769,12 @@ def _restricted_partitions(n: int, max_blocks: int):
     yield from rec(0, [])
 
 
-def _exhaustive_partition(
-    expansion: CompositionExpansion, samples: np.ndarray, n_clusters: int
-) -> list[list[int]]:
-    H, R, q = _partition_moments(expansion, samples)
-    d = samples.shape[1]
+def _exhaustive_partition(fitting: _FittingSet, n_clusters: int) -> list[list[int]]:
+    H, R, q = _partition_moments(fitting)
+    d = fitting.samples.shape[1]
     best: list[list[int]] | None = None
     best_obj = np.inf
-    for partition in _restricted_partitions(expansion.n_experts, n_clusters):
+    for partition in _restricted_partitions(fitting.expansion.n_experts, n_clusters):
         obj = 0.0
         for group in partition:
             Hk = H[group].sum(axis=0)
@@ -726,11 +794,37 @@ def _exhaustive_partition(
     return best
 
 
+def _compress(
+    expansion: CompositionExpansion,
+    samples: np.ndarray,
+    method: str = "greedy_affine",
+    n_clusters: int | None = None,
+    seed: int = 0,
+) -> FitResult:
+    """``choose_partition`` then ``fit_cluster_student`` on one fitting set, gated once.
+
+    Both read the stage weights of a single gating pass over ``samples``;
+    the result has the bits of the two calls made separately.
+    """
+    fitting = _FittingSet(expansion, samples)
+    partition = choose_partition(
+        expansion, fitting, method=method, n_clusters=n_clusters, seed=seed
+    )
+    return fit_cluster_student(expansion, partition, fitting)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
     stderr: float
     n: int
+
+
+def _mc_estimate(total: float, total_sq: float, n: int) -> McEstimate:
+    """Mean and standard error of ``n`` draws from their sum and sum of squares."""
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
 
 
 def _mc_mean(values_fn, sampler: NoisySampler, n: int, rng: np.random.Generator, chunk: int) -> McEstimate:
@@ -741,9 +835,7 @@ def _mc_mean(values_fn, sampler: NoisySampler, n: int, rng: np.random.Generator,
         vals = values_fn(sampler.sample(m, rng))
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
+    return _mc_estimate(total, total_sq, n)
 
 
 def mc_distillation_loss(
@@ -870,12 +962,9 @@ def error_propagation_audit(
             acc[row, 0] += float(np.sum(sq))
             acc[row, 1] += float(np.sum(sq * sq))
 
-    def finish(row: int) -> McEstimate:
-        mean = acc[row, 0] / n
-        var = max(acc[row, 1] - n * mean * mean, 0.0) / (n - 1)
-        return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
-
-    final, merge_err, shift, stage1_err = (finish(r) for r in range(4))
+    final, merge_err, shift, stage1_err = (
+        _mc_estimate(acc[r, 0], acc[r, 1], n) for r in range(4)
+    )
 
     z_lip = sampler.sample(lipschitz_pairs, rng)
     y_lip = stage1.apply(z_lip)
@@ -931,10 +1020,9 @@ def distill_chain(
     for step, t in enumerate(range(t_hi - 1, t_lo - 1, -1)):
         expansion = compose_expand([current, single_step_moe(gmm, sched, t)])
         samples = sampler.sample(n_fit, rng)
-        partition = choose_partition(
+        current = _compress(
             expansion, samples, method=method, n_clusters=K, seed=seed + 7919 * (step + 1)
-        )
-        current = fit_cluster_student(expansion, partition, samples).student
+        ).student
     return current
 
 
@@ -951,36 +1039,94 @@ def write_mixture(gmm: GaussianMixture, path: str | Path) -> None:
 
 
 def read_mixture(path: str | Path) -> GaussianMixture:
-    """Parse the mixture file format written by :func:`write_mixture`."""
-    K = d = None
-    pi = None
-    mu_rows: list[list[float]] = []
-    cov_rows: list[list[list[float]]] = []
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+    """Parse the mixture file format written by :func:`write_mixture`.
+
+    The format is strict.  ``K``, ``d`` and ``pi`` appear once each, before
+    the first component.  Components follow numbered ``1..K`` in order, each
+    a ``component`` line, then one ``mu`` row, then ``d`` ``Lambda`` rows.
+    Every row holds ``d`` numbers and ``pi`` holds ``K``.  Anything else
+    raises ``ValueError`` naming the line.
+    """
+    header: dict[str, object] = {}
+    blocks: list[tuple[int, list[float] | None, list[list[float]]]] = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
-        if key == "K":
-            K = int(rest)
-        elif key == "d":
-            d = int(rest)
-        elif key == "pi":
-            pi = [float(v) for v in rest.split()]
+
+        def bad(why: str) -> ValueError:
+            return ValueError(f"{path}: line {lineno} ({raw.strip()!r}): {why}")
+
+        def numbers(count: int) -> list[float]:
+            try:
+                vals = [float(v) for v in rest.split()]
+            except ValueError:
+                raise bad(f"{key} entries must be numbers") from None
+            if len(vals) != count:
+                raise bad(f"{key} has {len(vals)} entries, expected {count}")
+            return vals
+
+        def positive_int() -> int:
+            if not rest.strip().isdigit() or int(rest) < 1:
+                raise bad(f"{key} must be a positive integer")
+            return int(rest)
+
+        if key in ("K", "d", "pi"):
+            if key in header:
+                raise bad(f"repeated {key} line")
+            if blocks:
+                raise bad(f"{key} line after the first component")
+            if key == "pi":
+                if "K" not in header:
+                    raise bad("pi line before the K line")
+                header["pi"] = numbers(header["K"])
+            else:
+                header[key] = positive_int()
         elif key == "component":
-            cov_rows.append([])
-        elif key == "mu":
-            mu_rows.append([float(v) for v in rest.split()])
-        elif key == "Lambda":
-            if not cov_rows:
-                raise ValueError("Lambda row before any component")
-            cov_rows[-1].append([float(v) for v in rest.split()])
+            missing = [k for k in ("K", "d", "pi") if k not in header]
+            if missing:
+                raise bad(f"component before the {', '.join(missing)} line(s)")
+            if blocks:
+                _check_block(blocks, header["d"], path)
+            if len(blocks) == header["K"]:
+                raise bad(f"more than K = {header['K']} components")
+            if positive_int() != len(blocks) + 1:
+                raise bad(f"expected component {len(blocks) + 1}")
+            blocks.append((lineno, None, []))
+        elif key in ("mu", "Lambda"):
+            if not blocks:
+                raise bad(f"{key} row outside a component block")
+            start, mu, cov = blocks[-1]
+            if key == "mu":
+                if mu is not None:
+                    raise bad(f"second mu row in component {len(blocks)}")
+                blocks[-1] = (start, numbers(header["d"]), cov)
+            elif mu is None:
+                raise bad(f"Lambda row before the mu row of component {len(blocks)}")
+            elif len(cov) == header["d"]:
+                raise bad(f"more than d = {header['d']} Lambda rows in component {len(blocks)}")
+            else:
+                cov.append(numbers(header["d"]))
         else:
-            raise ValueError(f"unrecognized mixture file line: {raw!r}")
-    if K is None or d is None or pi is None:
-        raise ValueError("mixture file must declare K, d and pi")
-    if len(mu_rows) != K or len(cov_rows) != K:
-        raise ValueError(f"expected {K} components, got {len(mu_rows)} mu rows")
+            raise bad("unrecognized mixture file line")
+    if len(header) != 3:
+        raise ValueError(f"{path}: mixture file must declare K, d and pi")
+    if blocks:
+        _check_block(blocks, header["d"], path)
+    if len(blocks) != header["K"]:
+        raise ValueError(f"{path}: expected {header['K']} components, got {len(blocks)}")
     return GaussianMixture(
-        pi=np.array(pi), mu=np.array(mu_rows), cov=np.array(cov_rows)
+        pi=np.array(header["pi"]),
+        mu=np.array([mu for _, mu, _ in blocks]),
+        cov=np.array([cov for _, _, cov in blocks]),
     )
+
+
+def _check_block(blocks: list, d: int, path) -> None:
+    start, mu, cov = blocks[-1]
+    if mu is None or len(cov) != d:
+        raise ValueError(
+            f"{path}: line {start}: component {len(blocks)} needs one mu row and "
+            f"{d} Lambda rows, got {0 if mu is None else 1} and {len(cov)}"
+        )

@@ -19,12 +19,11 @@ from .gmm import (
     GaussianMixture,
     NoisySampler,
     PropagationAudit,
+    _compress,
     apply_chain,
-    choose_partition,
     compose_expand,
     distill_chain,
     error_propagation_audit,
-    fit_cluster_student,
     make_circle_mixture,
     mc_distillation_loss,
     read_mixture,
@@ -585,11 +584,10 @@ def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
         sampler = NoisySampler(gmm=gmm, sched=sched, t=t_hi)
         fit_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, 1)))
         samples = sampler.sample(cfg.n_fit, fit_rng)
-        partition = choose_partition(
+        fit = _compress(
             expansion, samples, method="greedy_affine",
             n_clusters=gmm.K, seed=_child_seed(cfg.seed, k, 2),
         )
-        fit = fit_cluster_student(expansion, partition, samples)
         mc = mc_distillation_loss(
             fit.student,
             lambda z, _ops=ops: apply_chain(_ops, z),
@@ -650,11 +648,10 @@ def run_gmm_propagate(cfg: ExperimentConfig) -> PropagateResult:
     sampler = NoisySampler(gmm=gmm, sched=sched, t=T)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
     samples = sampler.sample(cfg.n_fit, rng)
-    partition = choose_partition(
+    merged = _compress(
         expansion, samples, method="greedy_affine",
         n_clusters=gmm.K, seed=_child_seed(cfg.seed, 14),
-    )
-    merged = fit_cluster_student(expansion, partition, samples).student
+    ).student
 
     teacher_ops = [single_step_moe(gmm, sched, t) for t in range(T, 0, -1)]
     audit = error_propagation_audit(

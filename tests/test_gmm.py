@@ -1,6 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from merge_planner import gmm as gmm_module
 from merge_planner.gmm import (
     AffineExpert,
     GaussianMixture,
@@ -10,6 +18,7 @@ from merge_planner.gmm import (
     apply_chain,
     choose_partition,
     compose_expand,
+    distill_chain,
     error_propagation_audit,
     estimate_lipschitz,
     fit_cluster_student,
@@ -23,6 +32,8 @@ from merge_planner.gmm import (
 )
 from merge_planner.linear_op import DiagGaussian, single_step_matrix
 from merge_planner.schedule import make_cosine_schedule
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -515,3 +526,179 @@ class TestSampler:
         )
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=0.05)
         np.testing.assert_allclose(np.cov(z.T), np.eye(2), atol=0.05)
+
+
+class TestGatingOnce:
+    def test_distill_chain_gates_each_fitting_set_once(self, monkeypatch, sched32, circle8):
+        calls = []
+        original = gmm_module.posterior_log_weights
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_module, "posterior_log_weights", counting)
+        distill_chain(circle8, sched32, t_hi=20, t_lo=17, n_fit=256, seed=3)
+        # step s gates a student nested s + 1 teacher steps deep, then the
+        # new step: s + 2 posterior calls per chunk, and 256 samples are one chunk
+        assert len(calls) == sum(s + 2 for s in range(3))
+
+    @staticmethod
+    def _assert_same_fit(got, want):
+        for name in ("bound", "bias", "variance"):
+            assert np.float64(getattr(got, name)).tobytes() == np.float64(
+                getattr(want, name)
+            ).tobytes(), name
+        assert got.ridge_flagged == want.ridge_flagged
+        assert got.student.interval == want.student.interval
+        assert len(got.student.experts) == len(want.student.experts)
+        for a, b in zip(got.student.experts, want.student.experts):
+            assert a.A.tobytes() == b.A.tobytes() and a.b.tobytes() == b.b.tobytes()
+        assert (
+            got.student.gating.membership.tobytes()
+            == want.student.gating.membership.tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "K, steps, method, n_clusters",
+        [(8, 3, "greedy_affine", 8), (3, 2, "exhaustive", 3), (8, 1, "greedy_affine", 8)],
+    )
+    def test_compress_equals_partition_then_fit_across_chunks(
+        self, monkeypatch, sched32, K, steps, method, n_clusters
+    ):
+        monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: 100)
+        gmm = make_circle_mixture(K)
+        ops = [single_step_moe(gmm, sched32, t) for t in range(20, 20 - steps, -1)]
+        expansion = compose_expand(ops)
+        samples = NoisySampler(gmm=gmm, sched=sched32, t=20).sample(
+            350, np.random.default_rng(21)
+        )
+        fit = gmm_module._compress(
+            expansion, samples, method=method, n_clusters=n_clusters, seed=5
+        )
+        partition = choose_partition(
+            expansion, samples, method=method, n_clusters=n_clusters, seed=5
+        )
+        self._assert_same_fit(fit, fit_cluster_student(expansion, partition, samples))
+        assert fit.student.gating.membership.shape == (K**steps, len(partition))
+        # each chunk's weights have the bits of gating that chunk directly
+        chunks = list(gmm_module._FittingSet(expansion, samples).weights())
+        assert [z.shape[0] for z, _ in chunks] == [100, 100, 100, 50]
+        for z, w in chunks:
+            assert w.tobytes() == expansion.gating.weights(z).tobytes()
+
+    def test_nested_students_compress_like_partition_then_fit(self, monkeypatch, sched32, circle8):
+        monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: 64)
+        student = distill_chain(circle8, sched32, t_hi=12, t_lo=10, n_fit=200, seed=4)
+        expansion = compose_expand([student, single_step_moe(circle8, sched32, 9)])
+        samples = NoisySampler(gmm=circle8, sched=sched32, t=12).sample(
+            300, np.random.default_rng(22)
+        )
+        fit = gmm_module._compress(expansion, samples, n_clusters=8, seed=6)
+        partition = choose_partition(expansion, samples, n_clusters=8, seed=6)
+        self._assert_same_fit(fit, fit_cluster_student(expansion, partition, samples))
+
+
+@st.composite
+def _lse_inputs(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 10))
+    magnitude = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)  # 1e-3 .. 1e4
+    a = draw(hnp.arrays(np.float64, (n, k), elements=magnitude))
+    a = np.where(draw(hnp.arrays(np.bool_, (n, k))), -a, a)
+    # ties at the row max, and rows whose entries are all equal
+    a = np.where(draw(hnp.arrays(np.bool_, (n, k))), a.max(axis=1, keepdims=True), a)
+    flat = draw(hnp.arrays(np.bool_, n))
+    a[flat] = a[flat, :1]
+    return a
+
+
+class TestLogSumExp:
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(_lse_inputs())
+    @example(np.array([[1e4]]))
+    @example(np.array([[-1e-3], [2.5]]))
+    @example(np.full((3, 8), -712.25))
+    @example(np.array([[1e4, 1e4, -1e4, 1e-3], [-1e-3, -1e-3, -1e-3, -1e-3]]))
+    def test_matches_scipy_bit_for_bit(self, a):
+        want = scipy.special.logsumexp(a, axis=1, keepdims=True)
+        got = gmm_module._logsumexp_rows(a)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-np.inf, -np.inf], [np.inf, 1.0], [np.inf, np.inf], [-np.inf, 0.0], [np.nan, 1.0]],
+    )
+    def test_non_finite_rows_match_scipy(self, row):
+        a = np.array([row, [0.5, 0.25]])
+        want = scipy.special.logsumexp(a, axis=1, keepdims=True)
+        assert gmm_module._logsumexp_rows(a).tobytes() == want.tobytes()
+
+
+_MIXTURE_TEXT = """K 2
+d 2
+pi 0.25 0.75
+component 1
+mu 1 2
+Lambda 1 0
+Lambda 0 1
+component 2
+mu -1 0.5
+Lambda 2 0.5
+Lambda 0.5 1
+"""
+
+
+@st.composite
+def _mixtures(draw):
+    K = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    raw = draw(hnp.arrays(np.float64, K, elements=st.floats(0.05, 1.0)))
+    mu = draw(hnp.arrays(np.float64, (K, d), elements=st.floats(-1e6, 1e6)))
+    B = draw(hnp.arrays(np.float64, (K, d, d), elements=st.floats(-10.0, 10.0)))
+    cov = B @ np.transpose(B, (0, 2, 1)) + 1e-3 * np.eye(d)
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    return GaussianMixture(pi=raw / raw.sum(), mu=mu, cov=cov)
+
+
+class TestMixtureFile:
+    def test_reference_text_loads(self, tmp_path):
+        path = tmp_path / "two.mix"
+        path.write_text(_MIXTURE_TEXT + "# trailing comment\n")
+        gmm = read_mixture(path)
+        assert (gmm.K, gmm.d) == (2, 2)
+        np.testing.assert_array_equal(gmm.mu, [[1.0, 2.0], [-1.0, 0.5]])
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("d 2\n", "d 3\n", "line 5 .*mu has 2 entries, expected 3"),
+            ("d 2\n", "d 2\nK 2\n", "line 3 .*repeated K line"),
+            ("d 2\n", "d 2\nd 2\n", "line 3 .*repeated d line"),
+            ("component 1\n", "pi 0.5 0.5\ncomponent 1\n", "line 4 .*repeated pi line"),
+            ("component 1\nmu 1 2\n", "mu 1 2\ncomponent 1\n", "line 4 .*outside a component"),
+            ("Lambda 0 1\ncomponent 2\nmu -1 0.5\n", "Lambda 0 1\nmu -1 0.5\ncomponent 2\n",
+             "line 8 .*second mu row in component 1"),
+            ("component 2\n", "component 3\n", "line 8 .*expected component 2"),
+            ("Lambda 0 1\ncomponent 2", "component 2", "line 4: component 1 needs .* got 1 and 1"),
+            ("pi 0.25 0.75", "pi 0.25 0.25 0.5", "line 3 .*pi has 3 entries, expected 2"),
+        ],
+    )
+    def test_malformed_file_names_the_line(self, tmp_path, old, new, message):
+        assert _MIXTURE_TEXT.count(old) == 1
+        path = tmp_path / "bad.mix"
+        path.write_text(_MIXTURE_TEXT.replace(old, new))
+        with pytest.raises(ValueError, match=message):
+            read_mixture(path)
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(_mixtures())
+    def test_write_read_round_trip(self, gmm):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.mix"
+            write_mixture(gmm, path)
+            back = read_mixture(path)
+        for name in ("pi", "mu", "cov"):
+            assert getattr(back, name).shape == getattr(gmm, name).shape
+            assert getattr(back, name).tobytes() == getattr(gmm, name).tobytes(), name
