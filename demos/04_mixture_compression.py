@@ -13,7 +13,6 @@ import numpy as np
 
 from merge_planner import (
     NoisySampler,
-    apply_chain,
     choose_partition,
     compose_expand,
     fit_cluster_student,
@@ -36,9 +35,7 @@ for k in (1, 2, 3):
     samples = sampler.sample(8192, np.random.default_rng(100 + k))
     partition = choose_partition(expansion, samples, n_clusters=8, seed=k)
     fit = fit_cluster_student(expansion, partition, samples)
-    mc = mc_distillation_loss(
-        fit.student, lambda z, _ops=ops: apply_chain(_ops, z), sampler, 50_000, seed=k
-    )
+    mc = mc_distillation_loss(fit.student, None, sampler, 50_000, seed=k)
     print(
         f"  {k}   {expansion.n_experts:<11} {fit.bound:<12.4e} "
         f"({fit.bias:.2e}, {fit.variance:.2e})   {mc.mean:.4e} ± {mc.stderr:.1e}"

@@ -130,6 +130,49 @@ def _as_batch(z) -> tuple[np.ndarray, bool]:
     return z, False
 
 
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` with the same bits, computed column by column.
+
+    NumPy reduces each row of a float array in its own inner-loop call: a
+    pairwise sum (8 accumulators, blocks of at most 128 entries, halves cut
+    at a multiple of 8) added to an initial +0.0.  On rows of a few entries
+    that per-row call is the whole cost, so here each add of the same tree
+    runs once over all rows.  Layouts that NumPy iterates in another order
+    (the last axis not the one of smallest stride) go to ``np.sum``.  The
+    sign of a NaN result is not reproduced: NumPy's own add loops pick it
+    differently depending on the array length.
+    """
+    inner = abs(a.strides[-1])
+    if a.shape[-1] == 0 or any(
+        abs(step) <= inner for step, size in zip(a.strides[:-1], a.shape[:-1]) if size > 1
+    ):
+        return np.sum(a, axis=-1)
+    out = _pairwise_columns(a, 0, a.shape[-1])
+    out += 0.0
+    return out
+
+
+def _pairwise_columns(a: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """NumPy's pairwise sum of the columns ``lo .. lo + n - 1``, as a new array."""
+    if n < 8:
+        out = a[..., lo] + a[..., lo + 1] if n > 1 else a[..., lo].copy()
+        for i in range(lo + 2, lo + n):
+            out += a[..., i]
+        return out
+    if n <= 128:
+        acc = [a[..., lo + j] for j in range(8)]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            acc = [acc[j] + a[..., i + j] for j in range(8)]
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(stop, lo + n):
+            out += a[..., i]
+        return out
+    half = n // 2
+    half -= half % 8
+    return _pairwise_columns(a, lo, half) + _pairwise_columns(a, lo + half, n - half)
+
+
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """``scipy.special.logsumexp(a, axis=1, keepdims=True)`` with scipy's exact arithmetic.
 
@@ -147,8 +190,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
         at_max = a == a_max
         e = np.exp(a - a_max)
         e[at_max] = 0.0
-        s = np.sum(e, axis=1, keepdims=True)
-        m = np.sum(at_max, axis=1, keepdims=True, dtype=np.float64)
+        s = _rowsum(e)[:, None]
+        m = _rowsum(at_max.astype(np.float64))[:, None]
         out = np.log1p(s / m) + np.log(m) + a_max
         bad = ~np.isfinite(out[:, 0])
         if bad.any():
@@ -172,7 +215,7 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     for k in range(gmm.K):
         centered = z2 - a * gmm.mu[k]
         y = centered @ vecs[k]  # rotate into the component eigenbasis
-        quad = np.sum(y * y / noisy_vals[k], axis=1)
+        quad = _rowsum(y * y / noisy_vals[k])
         logdet = float(np.sum(np.log(noisy_vals[k])))
         lw[:, k] = np.log(gmm.pi[k]) - 0.5 * (gmm.d * _LOG_2PI + logdet + quad)
     lw -= _logsumexp_rows(lw)
@@ -240,7 +283,8 @@ class _AffineMixture:
 
     ``weights_apply`` computes the gating once and reuses it for the output,
     which keeps nested operators (students gated by other students) linear
-    in chain depth instead of exponential.
+    in chain depth instead of exponential.  ``apply_along_chain`` also
+    returns the points of the chain a path gating runs through.
     """
 
     experts: tuple[AffineExpert, ...]
@@ -268,11 +312,29 @@ class _AffineMixture:
         w = self.gating.weights(z2)
         return w[0] if single else w
 
+    def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        A, b = self._stacks()
+        return np.einsum("nk,kij,nj->ni", w, A, z2, optimize=True) + w @ b
+
     def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = self.gating.weights(z2)
-        A, b = self._stacks()
-        out = np.einsum("nk,kij,nj->ni", w, A, z2, optimize=True) + w @ b
-        return w, out
+        return w, self._mix(w, z2)
+
+    def apply_along_chain(self, z2: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output and the chain's trajectory, gating each operator of the chain once.
+
+        For an operator gated by a ``PathGating`` (or an ``AggregatedGating``
+        over one): ``out`` has the bits of ``apply(z2)`` and ``points[j]``
+        those of ``apply_chain(chain[: j + 1], z2)``.
+        """
+        path, membership = _path_gating(self)
+        if path is None:
+            raise ValueError("operator's gating runs no chain of operators")
+        stages, points = path.trajectory(z2)
+        w = _path_product(stages)
+        if membership is not None:
+            w = w @ membership  # as AggregatedGating.weights
+        return self._mix(w, z2), points
 
     def apply(self, z) -> np.ndarray:
         z2, single = _as_batch(z)
@@ -313,13 +375,24 @@ class PathGating:
 
     def stage_weights(self, z2: np.ndarray) -> list[np.ndarray]:
         """Per-stage gating weights along the trajectory, one ``(n, K_j)`` array per stage."""
-        stages = []
+        return self._walk(z2, len(self.ops) - 1)[0]
+
+    def trajectory(self, z2: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-stage gating weights and every stage's output, from one pass."""
+        return self._walk(z2, len(self.ops))
+
+    def _walk(self, z2: np.ndarray, n_outputs: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        # the first ``n_outputs`` stages are applied; the rest (at most the
+        # last) only gate, since nothing reads their output
+        stages, points = [], []
         point = z2
-        for op in self.ops[:-1]:
+        for op in self.ops[:n_outputs]:
             stage_w, point = op.weights_apply(point)
             stages.append(stage_w)
-        stages.append(self.ops[-1].gating.weights(point))
-        return stages
+            points.append(point)
+        for op in self.ops[n_outputs:]:
+            stages.append(op.gating.weights(point))
+        return stages, points
 
     def weights(self, z2: np.ndarray) -> np.ndarray:
         return _path_product(self.stage_weights(z2))
@@ -347,6 +420,21 @@ class AggregatedGating:
 
     def weights(self, z2: np.ndarray) -> np.ndarray:
         return self.base.weights(z2) @ self.membership
+
+
+def _path_gating(op) -> tuple[PathGating | None, np.ndarray | None]:
+    """The ``PathGating`` an operator is gated by, directly or under an ``AggregatedGating``.
+
+    Returns ``(path, membership)``; ``membership`` is None for direct path
+    gating, and ``path`` is None when the gating runs no chain.
+    """
+    gating = getattr(op, "gating", None)
+    membership = None
+    if isinstance(gating, AggregatedGating):
+        gating, membership = gating.base, gating.membership
+    if not isinstance(gating, PathGating):
+        return None, None
+    return gating, membership
 
 
 @dataclass(frozen=True)
@@ -431,22 +519,19 @@ def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Compositi
             "chunk the composition instead"
         )
     d = ops[0].d
-    experts = []
-    tuples = []
-    for idx in itertools.product(*(range(op.n_experts) for op in ops)):
-        A_tot = np.eye(d)
-        b_tot = np.zeros(d)
-        for op, i in zip(ops, idx):
-            e = op.experts[i]
-            A_tot = e.A @ A_tot
-            b_tot = e.A @ b_tot + e.b
-        experts.append(AffineExpert(A=A_tot, b=b_tot))
-        tuples.append(idx)
+    # end-to-end maps of every index prefix, extended one stage at a time
+    # (prefix index most significant): A <- A_i A, b <- A_i b + b_i
+    A_tot = np.eye(d)[None]
+    b_tot = np.zeros((1, d))
+    for op in ops:
+        A_op, b_op = op._stacks()
+        A_tot = np.matmul(A_op[None], A_tot[:, None]).reshape(-1, d, d)
+        b_tot = (np.matmul(A_op[None], b_tot[:, None, :, None])[..., 0] + b_op).reshape(-1, d)
     return CompositionExpansion(
-        experts=tuple(experts),
+        experts=tuple(AffineExpert(A=A, b=b) for A, b in zip(A_tot, b_tot)),
         gating=PathGating(ops=tuple(ops)),
         interval=(ops[-1].interval[0], ops[0].interval[1]),
-        index_tuples=tuple(tuples),
+        index_tuples=tuple(itertools.product(*(range(op.n_experts) for op in ops))),
     )
 
 
@@ -588,7 +673,7 @@ def fit_cluster_student(
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
         g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
-        gsq = np.sum(g * g, axis=2)  # (m, C)
+        gsq = _rowsum(g * g)  # (m, C)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
@@ -746,7 +831,7 @@ def _partition_moments(fitting: _FittingSet):
         g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
         H += np.einsum("mc,mi,mj->cij", w, u, u, optimize=True)
         R += np.einsum("mc,mci,mj->cij", w, g, u, optimize=True)
-        q += np.einsum("mc,mc->c", w, np.sum(g * g, axis=2))
+        q += np.einsum("mc,mc->c", w, _rowsum(g * g))
     return H, R, q
 
 
@@ -846,11 +931,28 @@ def mc_distillation_loss(
     seed: int = 0,
     chunk: int | None = None,
 ) -> McEstimate:
-    """Monte-Carlo mean and standard error of ``||student(z) - target(z)||^2``."""
+    """Monte-Carlo mean and standard error of ``||student(z) - target(z)||^2``.
+
+    ``target=None`` means the chain the student's gating runs (a distilled
+    student's teacher chain): each batch is then gated once, for both the
+    student and the chain's output, with the bits of ``apply_chain``.
+    """
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    f_st = _as_callable(student)
-    f_t = _as_callable(target)
+    if target is None:
+        if _path_gating(student)[0] is None:
+            raise ValueError("target=None needs a student gated along a chain of operators")
+
+        def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            out, points = student.apply_along_chain(z)
+            return out, points[-1]
+    else:
+        f_st = _as_callable(student)
+        f_t = _as_callable(target)
+
+        def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return f_st(z), f_t(z)
+
     rng = np.random.default_rng(seed)
     if chunk is not None:
         size = chunk
@@ -861,7 +963,8 @@ def mc_distillation_loss(
         size = _chunk_size(widest)
 
     def sq_dev(z: np.ndarray) -> np.ndarray:
-        diff = f_st(z) - f_t(z)
+        got, want = evaluate(z)
+        diff = got - want
         return np.sum(diff * diff, axis=1)
 
     return _mc_mean(sq_dev, sampler, n, rng, size)
@@ -924,6 +1027,8 @@ def error_propagation_audit(
 
     ``teacher_ops`` is the full single-step chain in application order;
     it is split at ``stage1.interval`` into the two stagewise teachers.
+    ``merged``'s gating must run exactly ``(stage1, stage2)``: the stage
+    outputs are read off its trajectory.
     """
     ops1 = [op for op in teacher_ops if op.interval[0] >= stage1.interval[0]]
     ops2 = [op for op in teacher_ops if op.interval[0] < stage1.interval[0]]
@@ -935,6 +1040,9 @@ def error_propagation_audit(
         raise ValueError("stage2 interval does not match the teacher chain split")
     if merged.interval != (stage2.interval[0], stage1.interval[1]):
         raise ValueError("merged operator must cover both stages")
+    path, _ = _path_gating(merged)
+    if path is None or len(path.ops) != 2 or path.ops[0] is not stage1 or path.ops[1] is not stage2:
+        raise ValueError("merged operator's gating must run exactly (stage1, stage2)")
 
     rng = np.random.default_rng(seed)
     chunk = _chunk_size(max(getattr(merged, "n_experts", 1), 64))
@@ -943,11 +1051,9 @@ def error_propagation_audit(
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
         z = sampler.sample(m, rng)
-        y_student = stage1.apply(z)
+        merged_out, (y_student, composed) = merged.apply_along_chain(z)
         y_teacher = apply_chain(ops1, z)
-        composed = stage2.apply(y_student)
         teacher_full = apply_chain(ops2, y_teacher)
-        merged_out = merged.apply(z)
         shift_ref = apply_chain(ops2, y_student)
 
         for row, diff in enumerate(

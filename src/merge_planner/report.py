@@ -20,7 +20,6 @@ from .gmm import (
     NoisySampler,
     PropagationAudit,
     _compress,
-    apply_chain,
     compose_expand,
     distill_chain,
     error_propagation_audit,
@@ -589,11 +588,7 @@ def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
             n_clusters=gmm.K, seed=_child_seed(cfg.seed, k, 2),
         )
         mc = mc_distillation_loss(
-            fit.student,
-            lambda z, _ops=ops: apply_chain(_ops, z),
-            sampler,
-            cfg.n_mc,
-            seed=_child_seed(cfg.seed, k, 3),
+            fit.student, None, sampler, cfg.n_mc, seed=_child_seed(cfg.seed, k, 3)
         )
         rows.append(
             GmmApproxRow(k=k, bound=fit.bound, mc_loss=mc.mean,

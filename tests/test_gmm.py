@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from merge_planner import gmm as gmm_module
+from merge_planner import report as report_module
 from merge_planner.gmm import (
     AffineExpert,
     GaussianMixture,
@@ -31,6 +33,7 @@ from merge_planner.gmm import (
     write_mixture,
 )
 from merge_planner.linear_op import DiagGaussian, single_step_matrix
+from merge_planner.report import ExperimentConfig
 from merge_planner.schedule import make_cosine_schedule
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -242,6 +245,46 @@ class TestComposeExpand:
         with pytest.raises(ValueError, match="cap"):
             compose_expand(ops, cap=63)
 
+    @staticmethod
+    def _per_tuple_loop(ops):
+        # reference: one chain of 2-D products per expert index tuple
+        d = ops[0].d
+        for idx in itertools.product(*(range(op.n_experts) for op in ops)):
+            A_tot = np.eye(d)
+            b_tot = np.zeros(d)
+            for op, i in zip(ops, idx):
+                e = op.experts[i]
+                A_tot = e.A @ A_tot
+                b_tot = e.A @ b_tot + e.b
+            yield idx, A_tot, b_tot
+
+    @settings(PROPERTY_SETTINGS, max_examples=80)
+    @given(
+        d=st.integers(1, 6),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacks_match_per_tuple_loop(self, sched32, d, sizes, seed):
+        rng = np.random.default_rng(seed)
+        gmm = GaussianMixture(pi=[1.0], mu=np.zeros((1, d)), cov=np.eye(d)[None])
+        ops = []
+        for j, K in enumerate(sizes):
+            experts = tuple(
+                AffineExpert(
+                    A=rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4),
+                    b=rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4),
+                )
+                for _ in range(K)
+            )
+            t = 20 - j
+            gating = PosteriorGating(gmm=gmm, sched=sched32, t=t)
+            ops.append(MoeOperator(experts=experts, gating=gating, interval=(t, t)))
+        expansion = compose_expand(ops)
+        want = list(self._per_tuple_loop(ops))
+        assert expansion.index_tuples == tuple(idx for idx, _, _ in want)
+        for expert, (_, A, b) in zip(expansion.experts, want, strict=True):
+            assert expert.A.tobytes() == A.tobytes() and expert.b.tobytes() == b.tobytes()
+
 
 class TestFitClusterStudent:
     def test_singleton_partition_reproduces_teacher(self, sched32, circle8):
@@ -423,6 +466,34 @@ class TestMcLoss:
         with pytest.raises(ValueError):
             mc_distillation_loss(op, op, sampler, 1)
 
+    def test_chain_target_gates_each_batch_once(self, monkeypatch, sched32, circle8):
+        ops = [single_step_moe(circle8, sched32, t) for t in (32, 31, 30)]
+        sampler = NoisySampler(gmm=circle8, sched=sched32, t=32)
+        samples = sampler.sample(256, np.random.default_rng(23))
+        student = gmm_module._compress(compose_expand(ops), samples, n_clusters=8).student
+        want = mc_distillation_loss(
+            student, lambda z: apply_chain(ops, z), sampler, 10_000, seed=24
+        )
+        calls = []
+        original = gmm_module.posterior_log_weights
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_module, "posterior_log_weights", counting)
+        got = mc_distillation_loss(student, None, sampler, 10_000, seed=24)
+        # two 8192-row chunks, three teacher steps gated once each per chunk
+        # (the student and apply_chain gated them separately: 12 calls)
+        assert calls == [32, 31, 30, 32, 31, 30]
+        assert got == want
+
+    def test_chain_target_needs_a_chain(self, sched32, circle8):
+        op = single_step_moe(circle8, sched32, 16)
+        sampler = NoisySampler(gmm=circle8, sched=sched32, t=16)
+        with pytest.raises(ValueError, match="chain"):
+            mc_distillation_loss(op, None, sampler, 100)
+
 
 class TestLipschitz:
     def test_affine_operator_spectral_norm(self, sched32):
@@ -511,6 +582,17 @@ class TestErrorPropagation:
                 stage1, stage2, bad_merged, ops, sampler, n=100, seed=0
             )
 
+    def test_merged_must_run_exactly_the_two_stages(self):
+        sched = make_cosine_schedule(2)
+        gmm, op2, op1, sampler = self._setup(sched)
+        twin = single_step_moe(gmm, sched, 2)  # equal to op2, but another object
+        one_step = MoeOperator(
+            experts=op1.experts, gating=op1.gating, interval=(1, 2)
+        )  # covers both steps, but its gating runs no chain
+        for merged in (compose_expand([twin, op1]), one_step):
+            with pytest.raises(ValueError, match=r"exactly \(stage1, stage2\)"):
+                error_propagation_audit(op2, op1, merged, [op2, op1], sampler, n=100, seed=0)
+
 
 class TestSampler:
     def test_deterministic_given_seed(self, sched32, circle8):
@@ -587,6 +669,33 @@ class TestGatingOnce:
         for z, w in chunks:
             assert w.tobytes() == expansion.gating.weights(z).tobytes()
 
+    def test_propagate_item_gates_audit_stages_once(self, monkeypatch, tmp_path):
+        calls = []
+        in_audit = []
+        original = gmm_module.posterior_log_weights
+        audit = report_module.error_propagation_audit
+
+        def counting(*args, **kwargs):
+            calls.append(bool(in_audit))
+            return original(*args, **kwargs)
+
+        def marked_audit(*args, **kwargs):
+            in_audit.append(True)
+            try:
+                return audit(*args, **kwargs)
+            finally:
+                in_audit.pop()
+
+        monkeypatch.setattr(gmm_module, "posterior_log_weights", counting)
+        monkeypatch.setattr(report_module, "error_propagation_audit", marked_audit)
+        cfg = ExperimentConfig(
+            kind="gmm-propagate", T=10, seed=0, n_fit=1024, n_mc=3000, out_dir=tmp_path
+        )
+        report_module.run_gmm_propagate(cfg)
+        # the audit read both stage outputs off merged's trajectory: 10 fewer
+        # calls than gating stage1 and stage2 again on their own (88 and 50)
+        assert (len(calls), sum(calls)) == (78, 40)
+
     def test_nested_students_compress_like_partition_then_fit(self, monkeypatch, sched32, circle8):
         monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: 64)
         student = distill_chain(circle8, sched32, t_hi=12, t_lo=10, n_fit=200, seed=4)
@@ -597,6 +706,81 @@ class TestGatingOnce:
         fit = gmm_module._compress(expansion, samples, n_clusters=8, seed=6)
         partition = choose_partition(expansion, samples, n_clusters=8, seed=6)
         self._assert_same_fit(fit, fit_cluster_student(expansion, partition, samples))
+
+
+class TestApplyAlongChain:
+    def test_bits_match_apply_and_apply_chain(self, sched32, circle8):
+        student = distill_chain(circle8, sched32, t_hi=12, t_lo=10, n_fit=200, seed=4)
+        chain = [student, single_step_moe(circle8, sched32, 9), single_step_moe(circle8, sched32, 8)]
+        expansion = compose_expand(chain)
+        samples = NoisySampler(gmm=circle8, sched=sched32, t=12).sample(
+            300, np.random.default_rng(25)
+        )
+        merged = gmm_module._compress(expansion, samples, n_clusters=8, seed=7).student
+        z = samples[:150]
+        for op in (expansion, merged, student):
+            out, points = op.apply_along_chain(z)
+            assert out.tobytes() == op.apply(z).tobytes()
+            ops = op.gating.base.ops if op is not expansion else op.ops
+            assert len(points) == len(ops)
+            for j, point in enumerate(points):
+                assert point.tobytes() == apply_chain(ops[: j + 1], z).tobytes()
+        stages, points = expansion.gating.trajectory(z)
+        for got, want in zip(stages, expansion.gating.stage_weights(z), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_posterior_gated_operator_has_no_chain(self, sched32, circle8):
+        op = single_step_moe(circle8, sched32, 16)
+        with pytest.raises(ValueError, match="chain"):
+            op.apply_along_chain(np.zeros((3, 2)))
+
+
+def _nan_as_one(x):
+    # NumPy does not fix the sign of a NaN sum (its add loops pick it
+    # differently by array length), so NaN results are compared as NaN
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+@st.composite
+def _rowsum_inputs(draw):
+    width = draw(st.one_of(st.integers(1, 300), st.just(4096)))
+    lead = draw(st.sampled_from([(1,), (2,), (5,), (2, 3)] if width < 4096 else [(1,), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base_shape = lead[:-1] + (2 * lead[-1] + 1, 2 * width + 3)
+    base = rng.standard_normal(base_shape) * 10.0 ** rng.integers(-12, 13, size=base_shape)
+    special = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    mask = rng.random(base_shape) < special
+    base[mask] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0], size=int(mask.sum()))
+    rows = base.reshape(-1, base_shape[-1])
+    rows[rng.random(rows.shape[0]) < 0.2] = -0.0  # NumPy sums these to +0.0
+    view = draw(st.sampled_from(["contiguous", "column_step", "reversed", "offset", "transposed"]))
+    n = lead[-1]
+    if view == "contiguous":
+        return np.ascontiguousarray(base[..., :n, :width])
+    if view == "column_step":
+        return base[..., 1 : 2 * n + 1 : 2, 1 : 2 * width + 1 : 2]
+    if view == "reversed":
+        return base[..., n - 1 :: -1, width - 1 :: -1]
+    if view == "offset":
+        return base[..., 1 : n + 1, 3 : width + 3]
+    # the last axis is not the innermost one: NumPy iterates another order
+    return np.ascontiguousarray(np.swapaxes(base[..., :n, :width], -1, -2)).swapaxes(-1, -2)
+
+
+class TestRowsum:
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(_rowsum_inputs())
+    def test_matches_numpy_sum_bit_for_bit(self, a):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.sum(a, axis=-1)
+            got = gmm_module._rowsum(a)
+        assert got.shape == want.shape
+        assert _nan_as_one(got) == _nan_as_one(want)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 128, 129, 300])
+    def test_negative_zero_rows_sum_to_positive_zero(self, width):
+        got = gmm_module._rowsum(np.full((3, width), -0.0))
+        assert got.tobytes() == np.zeros(3).tobytes()
 
 
 @st.composite

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from merge_planner.linear_op import (
     DiagGaussian,
@@ -379,6 +385,40 @@ class TestOperatorCsv:
         assert path.read_text().splitlines()[0] == "t,i,gamma"
         back = read_shrinkage_csv(path)
         np.testing.assert_array_equal(back, prof.gamma)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        entries=hnp.arrays(
+            np.float64,
+            st.integers(1, 12),
+            elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, 1.0]),
+        ),
+        t1=st.integers(1, 500),
+        length=st.integers(0, 40),
+    )
+    def test_round_trip_any_operator(self, entries, t1, length):
+        op = DiagOperator(entries=entries, interval=(t1, t1 + length))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "op.csv"
+            write_operator_csv(op, path)
+            back = read_operator_csv(path, interval=op.interval)
+        assert back.entries.tobytes() == op.entries.tobytes()
+        assert back.interval == op.interval
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 4)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_shrinkage_round_trip_any_gamma(self, gamma):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gamma.csv"
+            write_shrinkage_csv(ShrinkageProfile(s_train=1.0, gamma=gamma), path)
+            back = read_shrinkage_csv(path)
+        assert back.tobytes() == gamma.tobytes()
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "op.csv"

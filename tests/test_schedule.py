@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from merge_planner.schedule import (
     NoiseSchedule,
@@ -102,6 +108,23 @@ class TestScheduleCsv:
         # sigma is recomputed as sqrt(1 - alpha^2), identical up to rounding
         np.testing.assert_allclose(back.sigma, sched.sigma, atol=1e-12)
         assert validate_schedule(back).ok
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(2, 40),
+            elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+        )
+    )
+    def test_round_trip_any_alpha(self, alpha):
+        sigma = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sched.csv"
+            write_schedule_csv(NoiseSchedule(alpha=alpha, sigma=sigma), path)
+            back = read_schedule_csv(path)
+        assert back.alpha.tobytes() == alpha.tobytes()
+        assert back.sigma.tobytes() == sigma.tobytes()
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merge_planner.linear_op import (
     DiagGaussian,
@@ -212,7 +214,28 @@ class TestEnumeratePlans:
             next(enumerate_plans(13))
 
 
+@st.composite
+def _plans(draw, t1=None, t2=None):
+    """A random valid plan: every node a leaf, a one-shot merge or a binary split."""
+    if t1 is None:
+        t1 = draw(st.integers(1, 10_000))
+        t2 = t1 + draw(st.integers(0, 40))
+    if t1 == t2:
+        return Leaf(t1)
+    if draw(st.integers(0, 3)) == 0:
+        return OneShot(t1, t2)
+    m = draw(st.integers(t1, t2 - 1))
+    return MergeNode(draw(_plans(t1, m)), draw(_plans(m + 1, t2)))
+
+
 class TestSerialization:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(_plans())
+    def test_round_trip_random_plans(self, plan):
+        text = format_plan(plan)
+        assert parse_plan(text) == plan
+        assert format_plan(parse_plan(text)) == text
+
     def test_round_trip_all_small_plans(self):
         for T in range(1, 6):
             for plan in enumerate_plans(T):
