@@ -42,11 +42,8 @@ from .strategy import (
     plan_vanilla,
 )
 from .pareto_dp import (
-    ParetoFrontier,
     PreferenceVector,
     brute_force_optimum,
-    dominates,
-    insert_and_prune,
     pareto_dp,
 )
 from .gmm import (

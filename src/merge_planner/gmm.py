@@ -9,11 +9,14 @@ to K experts is a weighted clustering problem; the per-cluster weighted
 least-squares fit yields both the student and a certified upper bound on
 its distillation loss, split into an alignment (bias) part and an
 irreducible within-cluster variance part.
+
+Every affine mixture (a single step, an expansion or a student) stores its
+experts as an ``A`` stack ``(C, d, d)`` and a ``b`` stack ``(C, d)``, with no
+per-expert objects: expert ``k`` is ``z -> op.A[k] z + op.b[k]``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,7 +28,6 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "GaussianMixture",
-    "AffineExpert",
     "PosteriorGating",
     "PathGating",
     "AggregatedGating",
@@ -247,26 +249,6 @@ def optimal_mixture_denoiser(gmm: GaussianMixture, sched: NoiseSchedule, t: int,
 
 
 @dataclass(frozen=True)
-class AffineExpert:
-    """One affine map ``z -> A z + b``."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=np.float64).copy()
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1).copy()
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
-            raise ValueError("expert must have a square A and a matching b")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("expert parameters must be finite")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class PosteriorGating:
     """Gating by posterior component responsibilities at a fixed noise level."""
 
@@ -281,31 +263,43 @@ class PosteriorGating:
 class _AffineMixture:
     """Shared evaluation of ``z -> sum_k w_k(z) (A_k z + b_k)``.
 
+    The experts are stored as two stacks, ``A`` of shape ``(C, d, d)`` and
+    ``b`` of shape ``(C, d)``: expert ``k`` is ``z -> A[k] z + b[k]``.  They
+    are copied, checked and made read-only once, at construction.
+
     ``weights_apply`` computes the gating once and reuses it for the output,
     which keeps nested operators (students gated by other students) linear
     in chain depth instead of exponential.  ``apply_along_chain`` also
     returns the points of the chain a path gating runs through.
     """
 
-    experts: tuple[AffineExpert, ...]
+    A: np.ndarray
+    b: np.ndarray
     gating: object
 
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._A_stack, self._b_stack  # type: ignore[attr-defined]
-
     def _init_stacks(self) -> None:
-        A = np.stack([e.A for e in self.experts])
-        b = np.stack([e.b for e in self.experts])
-        object.__setattr__(self, "_A_stack", A)
-        object.__setattr__(self, "_b_stack", b)
+        A = np.array(self.A, dtype=np.float64, order="C")
+        b = np.array(self.b, dtype=np.float64, order="C")
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise ValueError(f"A must be a (C, d, d) stack of square matrices, got shape {A.shape}")
+        if b.shape != A.shape[:2]:
+            raise ValueError(f"b must have shape {A.shape[:2]} to match A, got {b.shape}")
+        if A.shape[0] < 1:
+            raise ValueError("operator must have at least one expert")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("expert parameters must be finite")
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     @property
     def n_experts(self) -> int:
-        return len(self.experts)
+        return self.A.shape[0]
 
     @property
     def d(self) -> int:
-        return self.experts[0].b.shape[0]
+        return self.A.shape[1]
 
     def weights(self, z) -> np.ndarray:
         z2, single = _as_batch(z)
@@ -313,8 +307,7 @@ class _AffineMixture:
         return w[0] if single else w
 
     def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        A, b = self._stacks()
-        return np.einsum("nk,kij,nj->ni", w, A, z2, optimize=True) + w @ b
+        return np.einsum("nk,kij,nj->ni", w, self.A, z2, optimize=True) + w @ self.b
 
     def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = self.gating.weights(z2)
@@ -346,19 +339,17 @@ class _AffineMixture:
 class MoeOperator(_AffineMixture):
     """K-expert affine mixture-of-experts operator covering ``interval`` steps."""
 
-    experts: tuple[AffineExpert, ...]
+    A: np.ndarray
+    b: np.ndarray
     gating: object
     interval: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if not self.experts:
-            raise ValueError("operator must have at least one expert")
-        object.__setattr__(self, "experts", tuple(self.experts))
+        self._init_stacks()
         t1, t2 = self.interval
         if not (1 <= t1 <= t2):
             raise ValueError(f"invalid interval {self.interval}")
         object.__setattr__(self, "interval", (int(t1), int(t2)))
-        self._init_stacks()
 
 
 @dataclass(frozen=True)
@@ -441,20 +432,22 @@ def _path_gating(op) -> tuple[PathGating | None, np.ndarray | None]:
 class CompositionExpansion(_AffineMixture):
     """The K^k-component expansion of a k-step composition.
 
-    ``experts[c]`` is the end-to-end affine map of the c-th expert tuple;
-    ``gating`` multiplies the stagewise posterior weights along the partial
-    trajectory.  Evaluating the expansion at any z must agree with applying
-    the source operators sequentially.
+    Component ``c`` is the expert index tuple ``(i_1, ..., i_k)`` at
+    position ``c`` in lexicographic order, the first applied stage most
+    significant (as ``itertools.product``); ``A[c]`` and ``b[c]`` are the
+    end-to-end affine map of applying expert ``i_1`` of the first stage,
+    then ``i_2`` of the second, and so on.  ``gating`` multiplies the
+    stagewise posterior weights along the partial trajectory, in the same
+    order.  Evaluating the expansion at any z must agree with applying the
+    source operators sequentially.
     """
 
-    experts: tuple[AffineExpert, ...]
+    A: np.ndarray
+    b: np.ndarray
     gating: PathGating
     interval: tuple[int, int]
-    index_tuples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "experts", tuple(self.experts))
-        object.__setattr__(self, "index_tuples", tuple(self.index_tuples))
         self._init_stacks()
 
     @property
@@ -474,14 +467,15 @@ def single_step_moe(gmm: GaussianMixture, sched: NoiseSchedule, t: int) -> MoeOp
     a_prev, s_prev = sched.alpha[t - 1], sched.sigma[t - 1]
     a, s = sched.alpha[t], sched.sigma[t]
     vals, vecs = _component_eigs(gmm)
-    experts = []
+    A = np.empty((gmm.K, gmm.d, gmm.d))
+    b = np.empty((gmm.K, gmm.d))
     for k in range(gmm.K):
         ratio = (a_prev * a * vals[k] + s_prev * s) / (a * a * vals[k] + s * s)
-        A = (vecs[k] * ratio) @ vecs[k].T
-        b = a_prev * gmm.mu[k] - a * (A @ gmm.mu[k])
-        experts.append(AffineExpert(A=A, b=b))
+        A[k] = (vecs[k] * ratio) @ vecs[k].T
+        b[k] = a_prev * gmm.mu[k] - a * (A[k] @ gmm.mu[k])
     return MoeOperator(
-        experts=tuple(experts),
+        A=A,
+        b=b,
         gating=PosteriorGating(gmm=gmm, sched=sched, t=t),
         interval=(t, t),
     )
@@ -524,14 +518,13 @@ def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Compositi
     A_tot = np.eye(d)[None]
     b_tot = np.zeros((1, d))
     for op in ops:
-        A_op, b_op = op._stacks()
-        A_tot = np.matmul(A_op[None], A_tot[:, None]).reshape(-1, d, d)
-        b_tot = (np.matmul(A_op[None], b_tot[:, None, :, None])[..., 0] + b_op).reshape(-1, d)
+        A_tot = np.matmul(op.A[None], A_tot[:, None]).reshape(-1, d, d)
+        b_tot = (np.matmul(op.A[None], b_tot[:, None, :, None])[..., 0] + op.b).reshape(-1, d)
     return CompositionExpansion(
-        experts=tuple(AffineExpert(A=A, b=b) for A, b in zip(A_tot, b_tot)),
+        A=A_tot,
+        b=b_tot,
         gating=PathGating(ops=tuple(ops)),
         interval=(ops[-1].interval[0], ops[0].interval[1]),
-        index_tuples=tuple(itertools.product(*(range(op.n_experts) for op in ops))),
     )
 
 
@@ -662,7 +655,6 @@ def fit_cluster_student(
     C = expansion.n_experts
     groups = _validate_partition(partition, C)
     K = len(groups)
-    A_stack, b_stack = expansion._stacks()
 
     H = np.zeros((K, d + 1, d + 1))
     R = np.zeros((K, d, d + 1))
@@ -672,7 +664,7 @@ def fit_cluster_student(
     for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
+        g = np.einsum("cij,mj->mci", expansion.A, z, optimize=True) + expansion.b
         gsq = _rowsum(g * g)  # (m, C)
         for k, idx in enumerate(groups):
             if idx.size == 0:
@@ -686,7 +678,8 @@ def fit_cluster_student(
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
 
-    experts = []
+    A_student = np.zeros((K, d, d))  # an empty cluster keeps the zero map
+    b_student = np.zeros((K, d))
     flagged = False
     bias = 0.0
     variance = 0.0
@@ -694,7 +687,6 @@ def fit_cluster_student(
     for k, idx in enumerate(groups):
         membership[idx, k] = 1.0
         if idx.size == 0:
-            experts.append(AffineExpert(A=np.zeros((d, d)), b=np.zeros(d)))
             continue
         Hk = H[k]
         try:
@@ -703,7 +695,8 @@ def fit_cluster_student(
             factor = cho_factor(Hk + _RIDGE * np.eye(d + 1))
             flagged = True
         M = cho_solve(factor, R[k].T).T  # (d, d+1)
-        experts.append(AffineExpert(A=M[:, :d], b=M[:, d]))
+        A_student[k] = M[:, :d]
+        b_student[k] = M[:, d]
         fit_term = float(np.sum(M * R[k]))
         bias += max(cquad[k] - fit_term, 0.0)
         variance += max(qfull[k] - cquad[k], 0.0)
@@ -711,7 +704,8 @@ def fit_cluster_student(
     bias /= n
     variance /= n
     student = MoeOperator(
-        experts=tuple(experts),
+        A=A_student,
+        b=b_student,
         gating=AggregatedGating(base=expansion.gating, membership=membership),
         interval=expansion.interval,
     )
@@ -795,9 +789,8 @@ def choose_partition(
         return [list(range(C))]
 
     if method == "greedy_affine":
-        A_stack, b_stack = expansion._stacks()
         feats = np.concatenate(
-            [A_stack.reshape(C, -1), b_stack.reshape(C, -1)], axis=1
+            [expansion.A.reshape(C, -1), expansion.b.reshape(C, -1)], axis=1
         )
         masses = _component_masses(fitting)
         labels = _weighted_kmeans(feats, masses, n_clusters, seed)
@@ -821,14 +814,13 @@ def _partition_moments(fitting: _FittingSet):
     """Per-component normal-equation moments (additive over cluster members)."""
     d = fitting.samples.shape[1]
     C = fitting.expansion.n_experts
-    A_stack, b_stack = fitting.expansion._stacks()
     H = np.zeros((C, d + 1, d + 1))
     R = np.zeros((C, d, d + 1))
     q = np.zeros(C)
     for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = np.einsum("cij,mj->mci", A_stack, z, optimize=True) + b_stack[None, :, :]
+        g = np.einsum("cij,mj->mci", fitting.expansion.A, z, optimize=True) + fitting.expansion.b
         H += np.einsum("mc,mi,mj->cij", w, u, u, optimize=True)
         R += np.einsum("mc,mci,mj->cij", w, g, u, optimize=True)
         q += np.einsum("mc,mc->c", w, _rowsum(g * g))
@@ -980,13 +972,17 @@ def estimate_lipschitz(
     """Empirical lower estimate of the Lipschitz constant from perturbed pairs."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    f = _as_callable(op)
     rng = np.random.default_rng(seed)
-    z = sampler.sample(n_pairs, rng)
-    delta = scale * rng.standard_normal(z.shape)
-    num = np.linalg.norm(f(z + delta) - f(z), axis=1)
-    den = np.linalg.norm(delta, axis=1)
-    return float(np.max(num / den))
+    return _lipschitz_at(_as_callable(op), sampler.sample(n_pairs, rng), scale, rng)
+
+
+def _lipschitz_at(
+    f: Callable[[np.ndarray], np.ndarray], points: np.ndarray, scale: float, rng: np.random.Generator
+) -> float:
+    """``max |f(p + delta) - f(p)| / |delta|`` over ``points``, ``delta ~ scale * N(0, I)``."""
+    delta = scale * rng.standard_normal(points.shape)
+    num = np.linalg.norm(f(points + delta) - f(points), axis=1)
+    return float(np.max(num / np.linalg.norm(delta, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -1072,13 +1068,12 @@ def error_propagation_audit(
         _mc_estimate(acc[r, 0], acc[r, 1], n) for r in range(4)
     )
 
-    z_lip = sampler.sample(lipschitz_pairs, rng)
-    y_lip = stage1.apply(z_lip)
-    delta = lipschitz_scale * rng.standard_normal(y_lip.shape)
-    num = np.linalg.norm(
-        apply_chain(ops2, y_lip + delta) - apply_chain(ops2, y_lip), axis=1
+    lip = _lipschitz_at(
+        lambda y: apply_chain(ops2, y),
+        stage1.apply(sampler.sample(lipschitz_pairs, rng)),
+        lipschitz_scale,
+        rng,
     )
-    lip = float(np.max(num / np.linalg.norm(delta, axis=1)))
 
     rhs = 2.0 * merge_err.mean + 4.0 * shift.mean + 4.0 * lip * lip * stage1_err.mean
     combined = float(

@@ -17,7 +17,7 @@ insertion would.  Each survivor stores a back-pointer ``(m, i, j)``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +41,7 @@ from .strategy import (
 
 __all__ = [
     "PreferenceVector",
-    "ParetoFrontier",
     "FrontierCapExceeded",
-    "dominates",
-    "insert_and_prune",
     "DpResult",
     "pareto_dp",
     "scalar_dp",
@@ -93,35 +90,6 @@ class FrontierCapExceeded(RuntimeError):
     """
 
 
-def dominates(B: DiagOperator, C: DiagOperator, rho: PreferenceVector) -> bool:
-    """True iff ``rho_i * B_i >= rho_i * C_i`` for all i, strictly somewhere.
-
-    Exact comparisons, no tolerance; equal operators do not dominate each
-    other.
-    """
-    if B.d != C.d or B.d != rho.d:
-        raise ValueError("dimension mismatch between operators and preference vector")
-    sb = rho.rho * B.entries
-    sc = rho.rho * C.entries
-    return bool(np.all(sb >= sc) and np.any(sb > sc))
-
-
-@dataclass
-class ParetoFrontier:
-    """Mutually non-dominated operators covering one interval.
-
-    ``plans[k]`` is the provenance plan of ``items[k]`` (None when plans are
-    dropped to bound sweep memory).
-    """
-
-    interval: tuple[int, int]
-    items: list[DiagOperator] = field(default_factory=list)
-    plans: list[MergePlan | None] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 def _skyline(signed: np.ndarray) -> np.ndarray:
     """Ascending indices of the rows no row dominates and no earlier row equals.
 
@@ -161,30 +129,6 @@ def _skyline(signed: np.ndarray) -> np.ndarray:
         survivors[:, n_kept : n_kept + n_new] = block[:, keep]
         n_kept += n_new
     return np.sort(order[kept])
-
-
-def insert_and_prune(
-    frontier: ParetoFrontier,
-    candidate: DiagOperator,
-    rho: PreferenceVector,
-    plan: MergePlan | None = None,
-) -> ParetoFrontier:
-    """Update the frontier with a candidate, keeping only non-dominated items.
-
-    Discards the candidate if it is dominated by (or exactly equal to) an
-    incumbent, removes incumbents the candidate dominates, and appends it
-    otherwise.  Returns the same frontier object, updated in place.
-    """
-    if candidate.interval != frontier.interval:
-        raise ValueError(
-            f"candidate covers {candidate.interval}, frontier covers {frontier.interval}"
-        )
-    items = frontier.items + [candidate]
-    plans = frontier.plans + [plan]
-    keep = _skyline(rho.rho * np.stack([op.entries for op in items]))
-    frontier.items = [items[k] for k in keep]
-    frontier.plans = [plans[k] for k in keep]
-    return frontier
 
 
 @dataclass(frozen=True)

@@ -215,17 +215,13 @@ def enumerate_plans(T: int) -> Iterator[MergePlan]:
         raise ValueError(
             f"plan enumeration is limited to T <= {MAX_ENUMERATION_T}, got {T}"
         )
-    yield from _enumerate_interval(1, T)
+    yield from _enumerated_interval(1, T)
 
 
 @functools.lru_cache(maxsize=None)
 def _enumerated_interval(t1: int, t2: int) -> tuple[MergePlan, ...]:
-    return tuple(_generate_interval(t1, t2))
-
-
-def _enumerate_interval(t1: int, t2: int) -> Iterator[MergePlan]:
     # memoized: sub-interval plan lists are shared between enclosing plans
-    yield from _enumerated_interval(t1, t2)
+    return tuple(_generate_interval(t1, t2))
 
 
 def _generate_interval(t1: int, t2: int) -> Iterator[MergePlan]:

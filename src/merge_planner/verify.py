@@ -350,10 +350,10 @@ def criterion_linear_reduction() -> CriterionResult:
         for t in range(1, 33):
             op = single_step_moe(gmm, sched, t)
             ops.append(op)
-            diag = np.sort(np.diag(op.experts[0].A))[::-1]
+            diag = np.sort(np.diag(op.A[0]))[::-1]
             worst = max(worst, float(np.max(np.abs(diag - single[t - 1]))))
-            worst = max(worst, float(np.max(np.abs(op.experts[0].b))))
-            lin_out = z * np.diag(op.experts[0].A)[None, :]
+            worst = max(worst, float(np.max(np.abs(op.b[0]))))
+            lin_out = z * np.diag(op.A[0])[None, :]
             worst = max(worst, float(np.max(np.abs(op.apply(z) - lin_out))))
             # posterior-mean denoiser vs the linear closed form
             a, s = sched.alpha[t], sched.sigma[t]
@@ -364,7 +364,7 @@ def criterion_linear_reduction() -> CriterionResult:
         for t1, t2 in ((31, 32), (25, 32), (1, 32)):
             chain = list(reversed(ops[t1 - 1 : t2]))
             expansion = compose_expand(chain)
-            diag = np.sort(np.diag(expansion.experts[0].A))[::-1]
+            diag = np.sort(np.diag(expansion.A[0]))[::-1]
             comp = composite_operator(sched, data, t1, t2).entries
             worst = max(worst, float(np.max(np.abs(diag - comp))))
         return worst <= 1e-12, f"max deviation from linear operators = {worst:.2e}"

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
-    AffineExpert,
     GaussianMixture,
     MoeOperator,
     NoisySampler,
@@ -163,18 +162,18 @@ class TestSingleStepMoe:
         single = single_step_matrix(sched32, DiagGaussian(lam))
         for t in (1, 16, 32):
             op = single_step_moe(gmm, sched32, t)
-            diag = np.sort(np.diag(op.experts[0].A))[::-1]
+            diag = np.sort(np.diag(op.A[0]))[::-1]
             np.testing.assert_allclose(diag, single[t - 1], atol=1e-12)
-            np.testing.assert_array_equal(op.experts[0].b, 0.0)
+            np.testing.assert_array_equal(op.b[0], 0.0)
 
     def test_offset_formula(self, sched32, circle8):
         t = 5
         op = single_step_moe(circle8, sched32, t)
         a_prev, a = sched32.alpha[t - 1], sched32.alpha[t]
         for k in range(circle8.K):
-            expected = (a_prev * np.eye(2) - a * op.experts[k].A) @ circle8.mu[k]
-            np.testing.assert_allclose(op.experts[k].b, expected, atol=1e-12)
-            assert np.linalg.norm(op.experts[k].b) > 0.0
+            expected = (a_prev * np.eye(2) - a * op.A[k]) @ circle8.mu[k]
+            np.testing.assert_allclose(op.b[k], expected, atol=1e-12)
+            assert np.linalg.norm(op.b[k]) > 0.0
 
     def test_matches_denoiser_update_rule(self, sched32, circle8):
         # the MoE output must equal the deterministic update applied to the
@@ -193,8 +192,40 @@ class TestSingleStepMoe:
     def test_terminal_step_allowed(self, sched32, circle8):
         op = single_step_moe(circle8, sched32, 32)
         np.testing.assert_allclose(
-            [np.diag(e.A) for e in op.experts], sched32.sigma[31], atol=1e-12
+            [np.diag(A) for A in op.A], sched32.sigma[31], atol=1e-12
         )
+
+
+class TestMoeOperator:
+    @pytest.mark.parametrize(
+        "A, b, match",
+        [
+            (np.ones((2, 2, 3)), np.zeros((2, 2)), "square"),
+            (np.eye(2), np.zeros(2), "square"),  # one matrix, not a stack
+            (np.ones((2, 2, 2)), np.zeros((2, 3)), "b must have shape"),
+            (np.ones((2, 2, 2)), np.zeros((1, 2)), "b must have shape"),
+            (np.zeros((0, 2, 2)), np.zeros((0, 2)), "at least one expert"),
+            (np.array([[[1.0, np.nan], [0.0, 1.0]]]), np.zeros((1, 2)), "finite"),
+            (np.eye(2)[None], np.array([[0.0, -np.inf]]), "finite"),
+        ],
+    )
+    def test_rejects_malformed_stacks(self, sched32, A, b, match):
+        gating = PosteriorGating(gmm=_two_mode(), sched=sched32, t=5)
+        with pytest.raises(ValueError, match=match):
+            MoeOperator(A=A, b=b, gating=gating, interval=(5, 5))
+
+    def test_stacks_are_read_only_copies(self, sched32):
+        gating = PosteriorGating(gmm=_two_mode(), sched=sched32, t=5)
+        A = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        b = np.array([[0.5, -0.5], [1.0, 0.0]])
+        op = MoeOperator(A=A, b=b, gating=gating, interval=(5, 5))
+        A[0, 0, 0] = 7.0
+        b[1] = 9.0
+        np.testing.assert_array_equal(op.A, [np.eye(2), 2.0 * np.eye(2)])
+        np.testing.assert_array_equal(op.b, [[0.5, -0.5], [1.0, 0.0]])
+        for stack in (op.A, op.b):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0] = 0.0
 
 
 class TestComposeExpand:
@@ -207,12 +238,10 @@ class TestComposeExpand:
         ops = [single_step_moe(gmm, sched32, t) for t in (20, 19, 18)]
         expansion = compose_expand(ops)
         assert expansion.n_experts == 1
-        A = ops[2].experts[0].A @ ops[1].experts[0].A @ ops[0].experts[0].A
-        np.testing.assert_allclose(expansion.experts[0].A, A, atol=1e-14)
-        b = ops[2].experts[0].A @ (
-            ops[1].experts[0].A @ ops[0].experts[0].b + ops[1].experts[0].b
-        ) + ops[2].experts[0].b
-        np.testing.assert_allclose(expansion.experts[0].b, b, atol=1e-14)
+        A = ops[2].A[0] @ ops[1].A[0] @ ops[0].A[0]
+        np.testing.assert_allclose(expansion.A[0], A, atol=1e-14)
+        b = ops[2].A[0] @ (ops[1].A[0] @ ops[0].b[0] + ops[1].b[0]) + ops[2].b[0]
+        np.testing.assert_allclose(expansion.b[0], b, atol=1e-14)
 
     @pytest.mark.parametrize("K", [1, 2, 4, 8])
     @pytest.mark.parametrize("k", [2, 3])
@@ -253,10 +282,9 @@ class TestComposeExpand:
             A_tot = np.eye(d)
             b_tot = np.zeros(d)
             for op, i in zip(ops, idx):
-                e = op.experts[i]
-                A_tot = e.A @ A_tot
-                b_tot = e.A @ b_tot + e.b
-            yield idx, A_tot, b_tot
+                A_tot = op.A[i] @ A_tot
+                b_tot = op.A[i] @ b_tot + op.b[i]
+            yield A_tot, b_tot
 
     @settings(PROPERTY_SETTINGS, max_examples=80)
     @given(
@@ -269,21 +297,20 @@ class TestComposeExpand:
         gmm = GaussianMixture(pi=[1.0], mu=np.zeros((1, d)), cov=np.eye(d)[None])
         ops = []
         for j, K in enumerate(sizes):
-            experts = tuple(
-                AffineExpert(
-                    A=rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4),
-                    b=rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4),
-                )
-                for _ in range(K)
-            )
+            A, b = np.empty((K, d, d)), np.empty((K, d))
+            for k in range(K):
+                A[k] = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4)
+                b[k] = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4)
             t = 20 - j
             gating = PosteriorGating(gmm=gmm, sched=sched32, t=t)
-            ops.append(MoeOperator(experts=experts, gating=gating, interval=(t, t)))
+            ops.append(MoeOperator(A=A, b=b, gating=gating, interval=(t, t)))
         expansion = compose_expand(ops)
+        # component c is the c-th index tuple in lexicographic order
         want = list(self._per_tuple_loop(ops))
-        assert expansion.index_tuples == tuple(idx for idx, _, _ in want)
-        for expert, (_, A, b) in zip(expansion.experts, want, strict=True):
-            assert expert.A.tobytes() == A.tobytes() and expert.b.tobytes() == b.tobytes()
+        assert expansion.n_experts == len(want)
+        for c, (A, b) in enumerate(want):
+            assert expansion.A[c].tobytes() == A.tobytes()
+            assert expansion.b[c].tobytes() == b.tobytes()
 
 
 class TestFitClusterStudent:
@@ -353,7 +380,7 @@ class TestFitClusterStudent:
         A = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
         cluster = [0, 2, 3]
-        g = np.stack([z @ e.A.T + e.b for e in expansion.experts], axis=1)
+        g = np.stack([z @ A.T + b for A, b in zip(expansion.A, expansion.b)], axis=1)
         pred = z @ A.T + b
         wc = w[:, cluster]
         gc = g[:, cluster, :]
@@ -448,12 +475,8 @@ class TestMcLoss:
         gmm = GaussianMixture(pi=[1.0], mu=np.zeros((1, 1)), cov=np.full((1, 1, 1), lam))
         gating = PosteriorGating(gmm=gmm, sched=sched32, t=t)
         a_st, a_target = 0.93, 0.88
-        student = MoeOperator(
-            experts=(AffineExpert(A=[[a_st]], b=[0.0]),), gating=gating, interval=(t, t)
-        )
-        target = MoeOperator(
-            experts=(AffineExpert(A=[[a_target]], b=[0.0]),), gating=gating, interval=(t, t)
-        )
+        student = MoeOperator(A=[[[a_st]]], b=[[0.0]], gating=gating, interval=(t, t))
+        target = MoeOperator(A=[[[a_target]]], b=[[0.0]], gating=gating, interval=(t, t))
         sampler = NoisySampler(gmm=gmm, sched=sched32, t=t)
         est = mc_distillation_loss(student, target, sampler, 1_000_000, seed=21)
         a, s = sched32.alpha[t], sched32.sigma[t]
@@ -501,7 +524,8 @@ class TestLipschitz:
         A = rng.normal(size=(2, 2))
         gmm = GaussianMixture(pi=[1.0], mu=np.zeros((1, 2)), cov=np.eye(2)[None])
         op = MoeOperator(
-            experts=(AffineExpert(A=A, b=[0.3, -0.1]),),
+            A=A[None],
+            b=[[0.3, -0.1]],
             gating=PosteriorGating(gmm=gmm, sched=sched32, t=16),
             interval=(16, 16),
         )
@@ -514,7 +538,8 @@ class TestLipschitz:
     def test_identity_operator(self, sched32):
         gmm = GaussianMixture(pi=[1.0], mu=np.zeros((1, 2)), cov=np.eye(2)[None])
         op = MoeOperator(
-            experts=(AffineExpert(A=np.eye(2), b=np.zeros(2)),),
+            A=np.eye(2)[None],
+            b=np.zeros((1, 2)),
             gating=PosteriorGating(gmm=gmm, sched=sched32, t=16),
             interval=(16, 16),
         )
@@ -553,9 +578,8 @@ class TestErrorPropagation:
         _, op2, op1, sampler = self._setup(sched)
         eps = 1e-3
         perturbed = MoeOperator(
-            experts=tuple(
-                AffineExpert(A=e.A + eps * np.eye(2), b=e.b) for e in op2.experts
-            ),
+            A=op2.A + eps * np.eye(2),
+            b=op2.b,
             gating=op2.gating,
             interval=op2.interval,
         )
@@ -587,7 +611,7 @@ class TestErrorPropagation:
         gmm, op2, op1, sampler = self._setup(sched)
         twin = single_step_moe(gmm, sched, 2)  # equal to op2, but another object
         one_step = MoeOperator(
-            experts=op1.experts, gating=op1.gating, interval=(1, 2)
+            A=op1.A, b=op1.b, gating=op1.gating, interval=(1, 2)
         )  # covers both steps, but its gating runs no chain
         for merged in (compose_expand([twin, op1]), one_step):
             with pytest.raises(ValueError, match=r"exactly \(stage1, stage2\)"):
@@ -633,9 +657,9 @@ class TestGatingOnce:
             ).tobytes(), name
         assert got.ridge_flagged == want.ridge_flagged
         assert got.student.interval == want.student.interval
-        assert len(got.student.experts) == len(want.student.experts)
-        for a, b in zip(got.student.experts, want.student.experts):
-            assert a.A.tobytes() == b.A.tobytes() and a.b.tobytes() == b.b.tobytes()
+        assert got.student.A.shape == want.student.A.shape
+        assert got.student.A.tobytes() == want.student.A.tobytes()
+        assert got.student.b.tobytes() == want.student.b.tobytes()
         assert (
             got.student.gating.membership.tobytes()
             == want.student.gating.membership.tobytes()

@@ -17,11 +17,8 @@ from merge_planner.linear_op import (
 from merge_planner.pareto_dp import (
     DEFAULT_MAX_FRONTIER,
     FrontierCapExceeded,
-    ParetoFrontier,
     PreferenceVector,
     brute_force_optimum,
-    dominates,
-    insert_and_prune,
     pareto_dp,
     scalar_dp,
     _skyline,
@@ -41,10 +38,6 @@ dp_module = importlib.import_module("merge_planner.pareto_dp")
 
 # deterministic example generation and no example database: tier-1 reruns stay reproducible
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None)
-
-
-def _op(entries, interval=(1, 1)):
-    return DiagOperator(entries=entries, interval=interval)
 
 
 def _skyline_oracle(signed):
@@ -126,86 +119,8 @@ class TestPreferenceVector:
             PreferenceVector(rho=np.array([1.0, 0.5]))
 
 
-class TestDominates:
-    def test_equal_operators_do_not_dominate(self):
-        rho = PreferenceVector(rho=np.array([1.0, -1.0]))
-        a = _op([0.5, 0.5])
-        assert not dominates(a, a, rho)
-
-    def test_scalar_prefer_larger(self):
-        rho = PreferenceVector(rho=np.array([1.0]))
-        assert dominates(_op([0.9]), _op([0.8]), rho)
-        assert not dominates(_op([0.8]), _op([0.9]), rho)
-
-    def test_mixed_preferences_block_dominance(self):
-        rho = PreferenceVector(rho=np.array([1.0, -1.0]))
-        b = _op([0.9, 0.5])
-        c = _op([0.8, 0.4])
-        assert not dominates(b, c, rho)
-        assert not dominates(c, b, rho)
-
-    def test_dimension_mismatch(self):
-        rho = PreferenceVector(rho=np.array([1.0]))
-        with pytest.raises(ValueError):
-            dominates(_op([0.9]), _op([0.8, 0.7]), rho)
-
-
-class TestInsertAndPrune:
-    def setup_method(self):
-        self.rho = PreferenceVector(rho=np.array([1.0, -1.0]))
-
-    def test_empty_insert(self):
-        frontier = ParetoFrontier(interval=(1, 1))
-        insert_and_prune(frontier, _op([0.5, 0.5]), self.rho)
-        assert len(frontier) == 1
-
-    def test_dominated_candidate_discarded(self):
-        frontier = ParetoFrontier(interval=(1, 1))
-        insert_and_prune(frontier, _op([0.9, 0.4]), self.rho)
-        insert_and_prune(frontier, _op([0.8, 0.5]), self.rho)  # worse on both
-        assert len(frontier) == 1
-        np.testing.assert_array_equal(frontier.items[0].entries, [0.9, 0.4])
-
-    def test_dominating_candidate_sweeps(self):
-        frontier = ParetoFrontier(interval=(1, 1))
-        insert_and_prune(frontier, _op([0.7, 0.7]), self.rho)
-        insert_and_prune(frontier, _op([0.6, 0.5]), self.rho)  # incomparable pair
-        assert len(frontier) == 2
-        insert_and_prune(frontier, _op([0.8, 0.4]), self.rho)  # beats both
-        assert len(frontier) == 1
-        np.testing.assert_array_equal(frontier.items[0].entries, [0.8, 0.4])
-
-    def test_incomparable_accumulate(self):
-        frontier = ParetoFrontier(interval=(1, 1))
-        insert_and_prune(frontier, _op([0.9, 0.9]), self.rho)
-        insert_and_prune(frontier, _op([0.5, 0.5]), self.rho)
-        assert len(frontier) == 2
-
-    def test_exact_duplicate_discarded(self):
-        frontier = ParetoFrontier(interval=(1, 1))
-        insert_and_prune(frontier, _op([0.5, 0.5]), self.rho)
-        insert_and_prune(frontier, _op([0.5, 0.5]), self.rho)
-        assert len(frontier) == 1
-
-    def test_interval_mismatch(self):
-        frontier = ParetoFrontier(interval=(1, 2))
-        with pytest.raises(ValueError):
-            insert_and_prune(frontier, _op([0.5, 0.5], interval=(1, 1)), self.rho)
-
-    def test_frontier_soundness_random(self):
-        rng = np.random.default_rng(31)
-        rho = PreferenceVector(rho=np.array([1.0, -1.0, 1.0]))
-        frontier = ParetoFrontier(interval=(1, 1))
-        for _ in range(300):
-            insert_and_prune(frontier, _op(rng.uniform(0, 2, size=3)), rho)
-        for i, b in enumerate(frontier.items):
-            for j, c in enumerate(frontier.items):
-                if i != j:
-                    assert not dominates(b, c, rho)
-
-
 class TestSkyline:
-    """The batch pruning primitive behind both the DP and ``insert_and_prune``."""
+    """The pruning primitive behind every DP cell, on rows already signed by ``rho``."""
 
     def test_empty_and_single(self):
         assert _skyline(np.empty((0, 3))).tolist() == []
@@ -217,10 +132,19 @@ class TestSkyline:
     def test_two_dim_order_and_first_duplicate(self):
         signed = np.array([[0.5, 0.1], [0.2, 0.9], [0.5, 0.1], [0.1, 0.1], [0.6, 0.0]])
         assert _skyline(signed).tolist() == [0, 1, 4]
+        # mixed preferences: (0.9, 0.5) and (0.8, 0.4) are incomparable under
+        # rho = (+1, -1), though the first is larger in both entries
+        rho = np.array([1.0, -1.0])
+        assert _skyline(rho * np.array([[0.9, 0.5], [0.8, 0.4]])).tolist() == [0, 1]
 
     def test_later_row_sweeps_earlier(self):
         signed = np.array([[0.1, 0.1, 0.1], [0.2, 0.0, 0.3], [0.2, 0.1, 0.3]])
         assert _skyline(signed).tolist() == [2]
+        # d = 2 under mixed preferences: the last row beats two incomparable rows
+        rho = np.array([1.0, -1.0])
+        entries = np.array([[0.7, 0.7], [0.6, 0.5], [0.8, 0.4]])
+        assert _skyline(rho * entries[:2]).tolist() == [0, 1]
+        assert _skyline(rho * entries).tolist() == [2]
 
     def test_signed_zeros_are_duplicates(self):
         signed = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]])
