@@ -119,6 +119,72 @@ class TestPreferenceVector:
             PreferenceVector(rho=np.array([1.0, 0.5]))
 
 
+def _dominates(a, b, rho):
+    """``a`` dominates ``b`` under ``rho``: the skyline of ``[b, a]`` keeps only ``a``.
+
+    ``b`` comes first, so an exact duplicate keeps ``b`` and never counts.
+    """
+    return _skyline(rho * np.array([b, a], dtype=np.float64)).tolist() == [1]
+
+
+def _frontier(rows, rho):
+    """The rows a DP cell keeps from ``rows``, in their original order."""
+    rows = np.array(rows, dtype=np.float64).reshape(len(rows), len(rho))
+    return rows[_skyline(rho * rows)]
+
+
+class TestDominates:
+    def test_equal_operators_do_not_dominate(self):
+        rho = np.array([1.0, -1.0])
+        assert not _dominates([0.5, 0.5], [0.5, 0.5], rho)
+
+    def test_scalar_prefer_larger(self):
+        rho = np.array([1.0])
+        assert _dominates([0.9], [0.8], rho)
+        assert not _dominates([0.8], [0.9], rho)
+
+    def test_mixed_preferences_block_dominance(self):
+        rho = np.array([1.0, -1.0])
+        b, c = [0.9, 0.5], [0.8, 0.4]
+        assert not _dominates(b, c, rho)
+        assert not _dominates(c, b, rho)
+
+
+class TestInsertAndPrune:
+    """A DP cell's frontier after each candidate arrives, under ``rho = (+1, -1)``."""
+
+    rho = np.array([1.0, -1.0])
+
+    def test_empty_insert(self):
+        assert len(_frontier([[0.5, 0.5]], self.rho)) == 1
+
+    def test_dominated_candidate_discarded(self):
+        kept = _frontier([[0.9, 0.4], [0.8, 0.5]], self.rho)  # second is worse on both
+        np.testing.assert_array_equal(kept, [[0.9, 0.4]])
+
+    def test_dominating_candidate_sweeps(self):
+        rows = [[0.7, 0.7], [0.6, 0.5], [0.8, 0.4]]
+        assert len(_frontier(rows[:2], self.rho)) == 2  # incomparable pair
+        np.testing.assert_array_equal(_frontier(rows, self.rho), [[0.8, 0.4]])  # beats both
+
+    def test_incomparable_accumulate(self):
+        assert len(_frontier([[0.9, 0.9], [0.5, 0.5]], self.rho)) == 2
+
+    def test_exact_duplicate_discarded(self):
+        assert len(_frontier([[0.5, 0.5], [0.5, 0.5]], self.rho)) == 1
+
+    def test_frontier_soundness_random(self):
+        rng = np.random.default_rng(31)
+        rho = np.array([1.0, -1.0, 1.0])
+        rows = rng.uniform(0, 2, size=(300, 3))
+        kept = _frontier(rows, rho)
+        assert len(kept) > 0
+        for i, b in enumerate(kept):
+            for j, c in enumerate(kept):
+                if i != j:
+                    assert not _dominates(b, c, rho)
+
+
 class TestSkyline:
     """The pruning primitive behind every DP cell, on rows already signed by ``rho``."""
 
