@@ -271,6 +271,9 @@ class _AffineMixture:
     which keeps nested operators (students gated by other students) linear
     in chain depth instead of exponential.  ``apply_along_chain`` also
     returns the points of the chain a path gating runs through.
+
+    Subclasses are declared ``eq=False``: operators compare and hash by
+    identity, since array fields have no single truth value.
     """
 
     A: np.ndarray
@@ -335,7 +338,7 @@ class _AffineMixture:
         return out[0] if single else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoeOperator(_AffineMixture):
     """K-expert affine mixture-of-experts operator covering ``interval`` steps."""
 
@@ -397,9 +400,9 @@ def _path_product(stages: Sequence[np.ndarray]) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregatedGating:
-    """Cluster-summed gating: ``W_k(z) = sum_{c in S_k} w_c(z)``."""
+    """Cluster-summed gating: ``W_k(z) = sum_{c in S_k} w_c(z)``; compares by identity."""
 
     base: object
     membership: np.ndarray  # (C, K) 0/1 matrix
@@ -428,7 +431,7 @@ def _path_gating(op) -> tuple[PathGating | None, np.ndarray | None]:
     return gating, membership
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionExpansion(_AffineMixture):
     """The K^k-component expansion of a k-step composition.
 

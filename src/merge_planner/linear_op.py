@@ -157,10 +157,15 @@ def single_step_matrix(sched: NoiseSchedule, data: DiagGaussian) -> np.ndarray:
 
     Shared by composites, direct merges and the interval DP so that every
     code path reduces products in the same order (bit-identical results).
+    Computed on ``(T, 1)`` columns in the operation order of
+    :func:`single_step_operator`, so row ``t-1`` equals its entries bit for bit.
     """
-    return np.stack(
-        [_single_entries(sched, data, t) for t in range(1, sched.T + 1)], axis=0
-    )
+    a, s = sched.alpha[:, None], sched.sigma[:, None]
+    den = a[1:] * a[1:] * data.lam + s[1:] * s[1:]
+    bad = np.flatnonzero(np.any(den == 0.0, axis=1))
+    if bad.size:
+        raise ValueError(f"degenerate denominator at t={bad[0] + 1}")
+    return (a[:-1] * a[1:] * data.lam + s[:-1] * s[1:]) / den
 
 
 def _interval_product(single: np.ndarray, t1: int, t2: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from .linear_op import (
     DiagOperator,
     ShrinkageProfile,
     single_step_matrix,
-    w2_objective,
 )
 from .schedule import NoiseSchedule
 from .strategy import (
@@ -35,8 +34,8 @@ from .strategy import (
     MergePlan,
     OneShot,
     enumerate_plans,
-    evaluate_plan,
     format_plan,
+    plan_entries,
 )
 
 __all__ = [
@@ -296,21 +295,32 @@ def brute_force_optimum(
     """Exhaustive minimum over every enumerated plan shape.
 
     Independent oracle for the DP: evaluates all plans directly and never
-    prunes.  Ties are broken by the lexicographically smallest serialized
-    plan.  Guarded to small T.
+    prunes.  Each plan is scored with :func:`plan_entries` over one
+    single-step matrix and the arithmetic of :func:`w2_objective`.  Ties are
+    broken by the lexicographically smallest serialized plan.  Guarded to
+    small T.
     """
     T = sched.T
     if T > MAX_BRUTE_FORCE_T:
         raise ValueError(f"brute force is limited to T <= {MAX_BRUTE_FORCE_T}, got {T}")
+    if surrogate.d != data.d or surrogate.interval != (1, T):
+        raise ValueError("surrogate does not match data/schedule")
+    if shrink.T != T or shrink.d != data.d:
+        raise ValueError("shrinkage profile does not match schedule/data")
+    single = single_step_matrix(sched, data)
     best_plan: MergePlan | None = None
-    best_op: DiagOperator | None = None
+    best_entries: np.ndarray | None = None
     best_obj = np.inf
-    best_key = ""
     for plan in enumerate_plans(T):
-        op = evaluate_plan(plan, sched, data, shrink)
-        obj = w2_objective(op, surrogate)
-        key = format_plan(plan)
-        if obj < best_obj or (obj == best_obj and key < best_key):
-            best_plan, best_op, best_obj, best_key = plan, op, obj, key
-    assert best_plan is not None and best_op is not None
-    return BruteForceResult(best=best_op, plan=best_plan, objective=float(best_obj))
+        entries = plan_entries(plan, single, shrink.gamma)
+        diff = surrogate.entries - entries
+        obj = float(np.dot(diff, diff))
+        # plans are serialized only to break exact ties
+        if obj < best_obj or (obj == best_obj and format_plan(plan) < format_plan(best_plan)):
+            best_plan, best_entries, best_obj = plan, entries, obj
+    assert best_plan is not None and best_entries is not None
+    return BruteForceResult(
+        best=DiagOperator(entries=best_entries, interval=(1, T)),
+        plan=best_plan,
+        objective=float(best_obj),
+    )

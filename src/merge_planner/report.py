@@ -9,9 +9,12 @@ diagrams are rendered as standalone SVG with no plotting dependency.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .linear_op import (
     shrinkage,
     single_step_matrix,
     surrogate_target,
-    w2_objective,
 )
 from .pareto_dp import PreferenceVector, pareto_dp, scalar_dp
 from .schedule import (
@@ -45,9 +47,9 @@ from .schedule import (
 )
 from .strategy import (
     MergePlan,
-    evaluate_plan,
     format_plan,
     internal_nodes,
+    plan_entries,
     plan_progressive,
     plan_sequential_boot,
     plan_sequential_consistency,
@@ -320,21 +322,31 @@ def run_plan(cfg: ExperimentConfig) -> PlanResult:
     )
 
 
-def _canonical_plans(T: int) -> dict[str, MergePlan | None]:
-    """The four canonical strategies; progressive is None unless T is a power of two."""
-    return {
+@functools.lru_cache(maxsize=None)
+def _canonical_plans(T: int) -> Mapping[str, MergePlan | None]:
+    """The four canonical strategies; progressive is None unless T is a power of two.
+
+    Cached per T; plans are frozen and the mapping is read-only.
+    """
+    return MappingProxyType({
         "vanilla": plan_vanilla(T),
         "progressive": plan_progressive(T) if (T & (T - 1)) == 0 else None,
         "boot": plan_sequential_boot(T),
         "consistency": plan_sequential_consistency(T),
-    }
+    })
 
 
 def _strategy_objectives(sched, data, shrink, surr) -> dict[str, float | None]:
-    return {
-        name: None if plan is None else w2_objective(evaluate_plan(plan, sched, data, shrink), surr)
-        for name, plan in _canonical_plans(sched.T).items()
-    }
+    # w2_objective's arithmetic, over one single-step matrix for all four plans
+    single = single_step_matrix(sched, data)
+    objectives: dict[str, float | None] = {}
+    for name, plan in _canonical_plans(sched.T).items():
+        if plan is None:
+            objectives[name] = None
+        else:
+            diff = surr.entries - plan_entries(plan, single, shrink.gamma)
+            objectives[name] = float(np.dot(diff, diff))
+    return objectives
 
 
 # --------------------------------------------------------------------------
@@ -452,11 +464,12 @@ def _sweep_records(T: int, s_train: float, lambdas: np.ndarray) -> list[SweepRec
     shrink = shrinkage(sched, data, s_train)
     surr = surrogate_target(sched, data).entries
     rho = PreferenceVector.from_variances(data).rho
+    single = single_step_matrix(sched, data)  # shared by the canonical plans and the DP
     entries = {
-        name: None if plan is None else evaluate_plan(plan, sched, data, shrink).entries
+        name: None if plan is None else plan_entries(plan, single, shrink.gamma)
         for name, plan in _canonical_plans(T).items()
     }
-    entries["dp"] = scalar_dp(single_step_matrix(sched, data), shrink.gamma, rho)
+    entries["dp"] = scalar_dp(single, shrink.gamma, rho)
     obj = {name: None if e is None else (surr - e) * (surr - e) for name, e in entries.items()}
     return [
         SweepRecord(

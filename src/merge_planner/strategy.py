@@ -6,22 +6,26 @@ node merges the raw single-step operators of its whole interval in one go.
 One-shot nodes are a distinct kind because their interpolation anchor is
 the raw single-step operator at the end time, which nested binary merges
 cannot express.
+
+Plans are evaluated on arrays (:func:`plan_entries`): the ``(T, d)``
+single-step and shrinkage matrices are built once per problem, not per node.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
+
+import numpy as np
 
 from .linear_op import (
     DiagGaussian,
     DiagOperator,
     ShrinkageProfile,
-    direct_merge,
-    merge,
-    single_step_operator,
+    _interval_product,
+    single_step_matrix,
 )
 from .schedule import NoiseSchedule
 
@@ -37,6 +41,7 @@ __all__ = [
     "plan_sequential_consistency",
     "plan_label",
     "evaluate_plan",
+    "plan_entries",
     "enumerate_plans",
     "count_plans",
     "internal_nodes",
@@ -87,18 +92,17 @@ class MergeNode:
 
     left: "MergePlan"
     right: "MergePlan"
+    # derived once from the children; not part of equality, hash or repr
+    interval: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _, m = self.left.interval
-        m2, _ = self.right.interval
+        t1, m = self.left.interval
+        m2, t2 = self.right.interval
         if m2 != m + 1:
             raise ValueError(
                 f"children are not adjacent: {self.left.interval} then {self.right.interval}"
             )
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.left.interval[0], self.right.interval[1])
+        object.__setattr__(self, "interval", (t1, t2))
 
 
 MergePlan = Union[Leaf, OneShot, MergeNode]
@@ -175,29 +179,43 @@ def evaluate_plan(
     data: DiagGaussian,
     shrink: ShrinkageProfile,
 ) -> DiagOperator:
-    """Post-order evaluation of a plan to its final merged operator.
+    """Evaluate a plan to its final merged operator.
 
     Leaves map to single-step operators, one-shot nodes to direct merges,
-    binary nodes to the recursive merge of their children's results.
+    binary nodes to the recursive merge of their children's results; see
+    :func:`plan_entries`.
     """
     if plan.interval != (1, sched.T):
         raise ValueError(
             f"plan covers {plan.interval} but the schedule requires (1, {sched.T})"
         )
-    return _evaluate(plan, sched, data, shrink)
+    if shrink.T != sched.T or shrink.d != data.d:
+        raise ValueError("shrinkage profile does not match schedule/data")
+    entries = plan_entries(plan, single_step_matrix(sched, data), shrink.gamma)
+    return DiagOperator(entries=entries, interval=(1, sched.T))
 
 
-def _evaluate(plan, sched, data, shrink) -> DiagOperator:
+def plan_entries(plan: MergePlan, single: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Merged entries of ``plan`` from the ``(T, d)`` single-step and shrinkage matrices.
+
+    ``single`` and ``gamma`` are as from :func:`single_step_matrix` and
+    ``shrinkage(...).gamma`` (row ``t-1`` holds step ``t``; ``d`` may be a
+    batch of independent coordinates).  The arithmetic is that of
+    ``single_step_operator``, ``direct_merge`` and ``merge``, so the result
+    equals their post-order evaluation bit for bit.  A leaf returns a view
+    of its row of ``single``.
+    """
     if isinstance(plan, Leaf):
-        return single_step_operator(sched, data, plan.t)
+        return single[plan.t - 1]
     if isinstance(plan, OneShot):
-        return direct_merge(sched, data, shrink, plan.t1, plan.t2)
+        g = gamma[plan.t2 - 1]
+        prod = _interval_product(single, plan.t1, plan.t2)
+        return (1.0 - g) * prod + g * single[plan.t2 - 1]
     if isinstance(plan, MergeNode):
-        return merge(
-            _evaluate(plan.left, sched, data, shrink),
-            _evaluate(plan.right, sched, data, shrink),
-            shrink,
-        )
+        left = plan_entries(plan.left, single, gamma)
+        right = plan_entries(plan.right, single, gamma)
+        g = gamma[plan.interval[1] - 1]
+        return (1.0 - g) * (left * right) + g * right
     raise TypeError(f"malformed plan node: {plan!r}")
 
 

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
+    AggregatedGating,
     GaussianMixture,
     MoeOperator,
     NoisySampler,
@@ -226,6 +227,21 @@ class TestMoeOperator:
         for stack in (op.A, op.b):
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 0.0
+
+
+    def test_operators_compare_and_hash_by_identity(self, sched32, circle8):
+        ops = [single_step_moe(circle8, sched32, t) for t in (3, 3, 2)]
+        expansions = [compose_expand(ops[1:]) for _ in range(2)]
+        gatings = [
+            AggregatedGating(base=expansions[0].gating, membership=np.ones((64, 1)))
+            for _ in range(2)
+        ]
+        for a, b in (ops[:2], expansions, gatings):
+            assert a == a and not (a != a)
+            assert a != b and not (a == b)  # equal contents, distinct objects
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2
+        assert ops[0] != ops[2]
 
 
 class TestComposeExpand:

@@ -21,13 +21,14 @@ from merge_planner.linear_op import (
     read_shrinkage_csv,
     shrinkage,
     signal_noise_vector,
+    single_step_matrix,
     single_step_operator,
     surrogate_target,
     w2_objective,
     write_operator_csv,
     write_shrinkage_csv,
 )
-from merge_planner.schedule import make_cosine_schedule
+from merge_planner.schedule import NoiseSchedule, make_cosine_schedule
 from merge_planner.verify import integrate_gradient_flow_rk4
 
 
@@ -86,6 +87,56 @@ class TestSingleStepOperator:
                 v_cur = signal_noise_vector(sched32, data, t, i)
                 proj = v_prev.dot(v_cur) / v_cur.norm_sq()
                 assert op.entries[i] == pytest.approx(proj, abs=1e-14)
+
+
+@st.composite
+def _step_problems(draw):
+    """A cosine schedule, or any alpha in [0, 1] with sigma >= 0.01 after t = 0, and variances."""
+    T = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        sched = make_cosine_schedule(T)
+    else:
+        unit = st.floats(0.0, 1.0)
+        alpha = draw(hnp.arrays(np.float64, T + 1, elements=unit))
+        sigma = draw(hnp.arrays(np.float64, T + 1, elements=st.floats(0.01, 1.0)))
+        sched = NoiseSchedule(alpha=alpha, sigma=sigma)
+    lam = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 1.08]), st.floats(0.0, 50.0)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return sched, DiagGaussian(lam)
+
+
+class TestSingleStepMatrix:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_step_problems())
+    def test_rows_equal_single_step_operators_bit_for_bit(self, problem):
+        sched, data = problem
+        rows = np.stack(
+            [single_step_operator(sched, data, t).entries for t in range(1, sched.T + 1)]
+        )
+        matrix = single_step_matrix(sched, data)
+        assert matrix.shape == rows.shape == (sched.T, data.d)
+        assert matrix.tobytes() == rows.tobytes()
+
+    def test_degenerate_denominator_names_first_step(self):
+        # alpha_t = sigma_t = 0 at t = 2 and t = 3: every coordinate degenerates
+        sched = NoiseSchedule(alpha=[1.0, 0.6, 0.0, 0.0, 0.0], sigma=[0.0, 0.8, 0.0, 0.0, 1.0])
+        data = DiagGaussian([2.0, 0.5])
+        with pytest.raises(ValueError, match=r"degenerate denominator at t=2$"):
+            single_step_matrix(sched, data)
+        with pytest.raises(ValueError, match=r"degenerate denominator at t=2$"):
+            single_step_operator(sched, data, 2)
+
+    def test_degenerate_denominator_in_one_coordinate(self):
+        # sigma_1 = 0: only the zero-variance coordinate degenerates at t = 1
+        sched = NoiseSchedule(alpha=[1.0, 1.0, 0.6, 0.0], sigma=[0.0, 0.0, 0.8, 1.0])
+        with pytest.raises(ValueError, match=r"degenerate denominator at t=1$"):
+            single_step_matrix(sched, DiagGaussian([1.0, 0.0]))
+        assert single_step_matrix(sched, DiagGaussian([1.0])).shape == (3, 1)
 
 
 class TestCompositeOperator:

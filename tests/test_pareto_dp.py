@@ -17,6 +17,7 @@ from merge_planner.linear_op import (
 from merge_planner.pareto_dp import (
     DEFAULT_MAX_FRONTIER,
     FrontierCapExceeded,
+    MAX_BRUTE_FORCE_T,
     PreferenceVector,
     brute_force_optimum,
     pareto_dp,
@@ -434,8 +435,20 @@ class TestBruteForce:
         dp = pareto_dp(sched, data, shrink, surr)
         assert bf.objective == dp.objective
 
+    def test_rejects_mismatched_inputs(self):
+        sched = make_cosine_schedule(4)
+        data = DiagGaussian([1.05, 0.95])
+        shrink = shrinkage(sched, data, 6.4)
+        surr = surrogate_target(sched, data)
+        with pytest.raises(ValueError, match="surrogate does not match"):
+            brute_force_optimum(sched, data, shrink, surrogate_target(sched, DiagGaussian([1.0])))
+        with pytest.raises(ValueError, match="surrogate does not match"):
+            brute_force_optimum(sched, data, shrink, DiagOperator(surr.entries, (1, 3)))
+        with pytest.raises(ValueError, match="shrinkage profile does not match"):
+            brute_force_optimum(sched, data, shrinkage(make_cosine_schedule(5), data, 6.4), surr)
+
     def test_guard(self):
-        sched = make_cosine_schedule(9)
+        sched = make_cosine_schedule(MAX_BRUTE_FORCE_T + 1)
         data = DiagGaussian([1.0])
         shrink = shrinkage(sched, data, 6.4)
         surr = surrogate_target(sched, data)

@@ -7,13 +7,15 @@ from merge_planner.linear_op import (
     DiagGaussian,
     ShrinkageProfile,
     direct_merge,
+    merge,
     shrinkage,
     single_step_matrix,
+    single_step_operator,
     surrogate_target,
     w2_objective,
 )
 from merge_planner.pareto_dp import brute_force_optimum, pareto_dp
-from merge_planner.schedule import make_cosine_schedule
+from merge_planner.schedule import NoiseSchedule, make_cosine_schedule
 from merge_planner.strategy import (
     Leaf,
     MergeNode,
@@ -25,6 +27,7 @@ from merge_planner.strategy import (
     format_plan,
     internal_nodes,
     parse_plan,
+    plan_entries,
     plan_label,
     plan_progressive,
     plan_sequential_boot,
@@ -100,6 +103,23 @@ class TestPlanStructure:
         plan = MergeNode(Leaf(2), MergeNode(Leaf(3), Leaf(4)))
         assert plan.interval == (2, 4)
 
+    def test_merge_node_identity_ignores_stored_interval(self):
+        # the interval is computed once at construction, but equality, hash
+        # and repr still see only the two children
+        a = MergeNode(Leaf(1), MergeNode(Leaf(2), Leaf(3)))
+        b = MergeNode(Leaf(1), MergeNode(Leaf(2), Leaf(3)))
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b) == hash((a.left, a.right))
+        assert a != MergeNode(MergeNode(Leaf(1), Leaf(2)), Leaf(3))
+        assert repr(a) == (
+            "MergeNode(left=Leaf(t=1), right=MergeNode(left=Leaf(t=2), right=Leaf(t=3)))"
+        )
+        assert len({a, b, plan_sequential_consistency(3)}) == 2
+        with pytest.raises(TypeError):
+            MergeNode(Leaf(1), Leaf(2), interval=(1, 2))
+        with pytest.raises(ValueError, match=r"not adjacent: \(1, 2\) then \(4, 4\)"):
+            MergeNode(MergeNode(Leaf(1), Leaf(2)), Leaf(4))
+
 
 class TestEvaluatePlan:
     def test_vanilla_equals_direct_merge(self):
@@ -136,6 +156,73 @@ class TestEvaluatePlan:
         )
         dp = pareto_dp(sched, data, shrink, surr)
         assert boot_obj == pytest.approx(dp.objective, abs=1e-12)
+
+
+def _reference_evaluate(plan, sched, data, shrink):
+    """The object recursion that ``plan_entries`` replaced: one operator per node."""
+    if isinstance(plan, Leaf):
+        return single_step_operator(sched, data, plan.t)
+    if isinstance(plan, OneShot):
+        return direct_merge(sched, data, shrink, plan.t1, plan.t2)
+    return merge(
+        _reference_evaluate(plan.left, sched, data, shrink),
+        _reference_evaluate(plan.right, sched, data, shrink),
+        shrink,
+    )
+
+
+@st.composite
+def _plan_problems(draw):
+    """A cosine or random valid schedule with T <= 6, d <= 3 variances and s_train."""
+    T = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        sched = make_cosine_schedule(T)
+    else:
+        steps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=T, max_size=T)))
+        alpha = np.concatenate([[1.0], 1.0 - np.cumsum(steps) / np.sum(steps)])
+        alpha[-1] = 0.0
+        sched = NoiseSchedule(alpha=alpha, sigma=np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)))
+    lam = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.08, 3.0]), st.floats(0.05, 4.0)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return sched, DiagGaussian(lam), draw(st.sampled_from([0.0, 1.6, 6.4]))
+
+
+class TestPlanEntries:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_plan_problems())
+    def test_every_plan_matches_object_recursion_bit_for_bit(self, problem):
+        sched, data, s_train = problem
+        shrink = shrinkage(sched, data, s_train)
+        single = single_step_matrix(sched, data)
+        for plan in enumerate_plans(sched.T):
+            ref = _reference_evaluate(plan, sched, data, shrink).entries
+            assert plan_entries(plan, single, shrink.gamma).tobytes() == ref.tobytes()
+            assert evaluate_plan(plan, sched, data, shrink).entries.tobytes() == ref.tobytes()
+
+    def test_sub_interval_plans(self):
+        sched = make_cosine_schedule(6)
+        data = DiagGaussian([0.7, 1.3])
+        shrink = shrinkage(sched, data, 1.6)
+        single = single_step_matrix(sched, data)
+        for plan in (Leaf(4), OneShot(2, 5), MergeNode(OneShot(2, 3), Leaf(4))):
+            ref = _reference_evaluate(plan, sched, data, shrink).entries
+            assert plan_entries(plan, single, shrink.gamma).tobytes() == ref.tobytes()
+
+    def test_shrinkage_must_match(self):
+        sched = make_cosine_schedule(4)
+        data = DiagGaussian([1.0, 0.5])
+        for other_sched, other_data in (
+            (make_cosine_schedule(5), data),
+            (sched, DiagGaussian([1.0])),
+        ):
+            shrink = shrinkage(other_sched, other_data, 1.0)
+            with pytest.raises(ValueError, match="does not match"):
+                evaluate_plan(plan_vanilla(4), sched, data, shrink)
 
 
 class TestThreeStepOrdering:
