@@ -228,7 +228,6 @@ class TestMoeOperator:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0] = 0.0
 
-
     def test_operators_compare_and_hash_by_identity(self, sched32, circle8):
         ops = [single_step_moe(circle8, sched32, t) for t in (3, 3, 2)]
         expansions = [compose_expand(ops[1:]) for _ in range(2)]

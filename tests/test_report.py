@@ -5,6 +5,7 @@ import pytest
 
 from merge_planner.report import (
     ExperimentConfig,
+    _canonical_plans,
     load_config,
     render_arc_diagram,
     run_ablation,
@@ -14,6 +15,7 @@ from merge_planner.report import (
     run_sweep,
 )
 from merge_planner.strategy import (
+    plan_progressive,
     plan_sequential_boot,
     plan_vanilla,
     parse_plan,
@@ -141,6 +143,14 @@ class TestSweep:
             kind="sweep", T=8, lam_values=(0.5, 2.0), out_dir=tmp_path / "b"
         )
         assert run_sweep(cfg_a).path.read_bytes() == run_sweep(cfg_b).path.read_bytes()
+
+    def test_canonical_plans_cached_read_only(self):
+        plans = _canonical_plans(8)
+        assert plans is _canonical_plans(8)
+        assert plans["progressive"] == plan_progressive(8)
+        assert _canonical_plans(6)["progressive"] is None
+        with pytest.raises(TypeError):
+            plans["vanilla"] = plan_sequential_boot(8)
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = ExperimentConfig(kind="sweep", T=8, lambda_points=0, out_dir=tmp_path)
