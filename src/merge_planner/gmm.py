@@ -58,11 +58,20 @@ __all__ = [
 DEFAULT_EXPANSION_CAP = 4096
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE = 1e-10
+_KMEANS_ITERS = 200
+# the audit's Lipschitz estimate: perturbed pairs, and the perturbation scale
+_LIPSCHITZ_PAIRS = 2048
+_LIPSCHITZ_SCALE = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Mixture of K Gaussians with weights ``pi``, means ``mu`` and covariances ``cov``."""
+    """Mixture of K Gaussians with weights ``pi``, means ``mu`` and covariances ``cov``.
+
+    ``_eig_vals`` and ``_eig_vecs`` hold the eigendecompositions
+    ``cov[k] = vecs[k] diag(vals[k]) vecs[k]^T``, clamped to PSD, computed
+    once here.  Compares and hashes by identity.
+    """
 
     pi: np.ndarray
     mu: np.ndarray
@@ -113,14 +122,6 @@ def make_circle_mixture(K: int = 8, radius: float = 5.0, iso_std: float = 0.3) -
     mu = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     cov = np.broadcast_to(iso_std**2 * np.eye(2), (K, 2, 2)).copy()
     return GaussianMixture(pi=np.full(K, 1.0 / K), mu=mu, cov=cov)
-
-
-def _component_eigs(gmm: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompositions ``cov[k] = Q[k] diag(vals[k]) Q[k]^T``, clamped to PSD.
-
-    Computed once, when the mixture is constructed.
-    """
-    return gmm._eig_vals, gmm._eig_vecs  # type: ignore[attr-defined]
 
 
 def _as_batch(z) -> tuple[np.ndarray, bool]:
@@ -211,7 +212,7 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
     z2, single = _as_batch(z)
     a, s = sched.alpha[t], sched.sigma[t]
-    vals, vecs = _component_eigs(gmm)
+    vals, vecs = gmm._eig_vals, gmm._eig_vecs
     noisy_vals = a * a * vals + s * s  # (K, d)
     lw = np.empty((z2.shape[0], gmm.K))
     for k in range(gmm.K):
@@ -238,7 +239,7 @@ def optimal_mixture_denoiser(gmm: GaussianMixture, sched: NoiseSchedule, t: int,
     z2, single = _as_batch(z)
     w = posterior_weights(gmm, sched, t, z2)
     a, s = sched.alpha[t], sched.sigma[t]
-    vals, vecs = _component_eigs(gmm)
+    vals, vecs = gmm._eig_vals, gmm._eig_vecs
     out = np.zeros_like(z2)
     for k in range(gmm.K):
         gain = a * vals[k] / (a * a * vals[k] + s * s)  # (d,)
@@ -248,9 +249,12 @@ def optimal_mixture_denoiser(gmm: GaussianMixture, sched: NoiseSchedule, t: int,
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorGating:
-    """Gating by posterior component responsibilities at a fixed noise level."""
+    """Gating by posterior component responsibilities at a fixed noise level.
+
+    Compares and hashes by identity.
+    """
 
     gmm: GaussianMixture
     sched: NoiseSchedule
@@ -303,11 +307,6 @@ class _AffineMixture:
     @property
     def d(self) -> int:
         return self.A.shape[1]
-
-    def weights(self, z) -> np.ndarray:
-        z2, single = _as_batch(z)
-        w = self.gating.weights(z2)
-        return w[0] if single else w
 
     def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
         return np.einsum("nk,kij,nj->ni", w, self.A, z2, optimize=True) + w @ self.b
@@ -469,7 +468,7 @@ def single_step_moe(gmm: GaussianMixture, sched: NoiseSchedule, t: int) -> MoeOp
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
     a_prev, s_prev = sched.alpha[t - 1], sched.sigma[t - 1]
     a, s = sched.alpha[t], sched.sigma[t]
-    vals, vecs = _component_eigs(gmm)
+    vals, vecs = gmm._eig_vals, gmm._eig_vecs
     A = np.empty((gmm.K, gmm.d, gmm.d))
     b = np.empty((gmm.K, gmm.d))
     for k in range(gmm.K):
@@ -531,12 +530,12 @@ def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Compositi
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisySampler:
     """Ancestral sampler for the noisy marginal at level ``t``.
 
     Draws a component, a clean sample from it, then adds isotropic noise:
-    ``z = alpha_t x0 + sigma_t eps``.
+    ``z = alpha_t x0 + sigma_t eps``.  Compares and hashes by identity.
     """
 
     gmm: GaussianMixture
@@ -545,7 +544,7 @@ class NoisySampler:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         gm = self.gmm
-        vals, vecs = _component_eigs(gm)
+        vals, vecs = gm._eig_vals, gm._eig_vecs
         sqrt_cov = np.einsum("kij,kj,klj->kil", vecs, np.sqrt(vals), vecs)
         comp = rng.choice(gm.K, size=n, p=gm.pi)
         x0 = gm.mu[comp] + np.einsum(
@@ -658,28 +657,7 @@ def fit_cluster_student(
     C = expansion.n_experts
     groups = _validate_partition(partition, C)
     K = len(groups)
-
-    H = np.zeros((K, d + 1, d + 1))
-    R = np.zeros((K, d, d + 1))
-    qfull = np.zeros(K)
-    cquad = np.zeros(K)
-
-    for z, w in fitting.weights():
-        m = z.shape[0]
-        u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = np.einsum("cij,mj->mci", expansion.A, z, optimize=True) + expansion.b
-        gsq = _rowsum(g * g)  # (m, C)
-        for k, idx in enumerate(groups):
-            if idx.size == 0:
-                continue
-            wk = w[:, idx]
-            Wk = np.sum(wk, axis=1)  # (m,)
-            Sk = np.einsum("mc,mci->mi", wk, g[:, idx, :], optimize=True)
-            H[k] += np.einsum("m,mi,mj->ij", Wk, u, u, optimize=True)
-            R[k] += Sk.T @ u
-            qfull[k] += float(np.sum(wk * gsq[:, idx]))
-            pos = Wk > 0.0
-            cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
+    H, R, qfull, cquad = _cluster_moments(fitting, groups)
 
     A_student = np.zeros((K, d, d))  # an empty cluster keeps the zero map
     b_student = np.zeros((K, d))
@@ -691,13 +669,8 @@ def fit_cluster_student(
         membership[idx, k] = 1.0
         if idx.size == 0:
             continue
-        Hk = H[k]
-        try:
-            factor = cho_factor(Hk)
-        except np.linalg.LinAlgError:
-            factor = cho_factor(Hk + _RIDGE * np.eye(d + 1))
-            flagged = True
-        M = cho_solve(factor, R[k].T).T  # (d, d+1)
+        M, ridged = _solve_normal(H[k], R[k])  # (d, d+1)
+        flagged = flagged or ridged
         A_student[k] = M[:, :d]
         b_student[k] = M[:, d]
         fit_term = float(np.sum(M * R[k]))
@@ -721,6 +694,56 @@ def fit_cluster_student(
     )
 
 
+def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
+    """Normal-equation moments of each cluster, summed over the fitting set.
+
+    For the cluster weight ``W = sum_{c in S} w_c`` and weighted expert sum
+    ``S = sum_{c in S} w_c g_c`` at each sample, with ``u = [z; 1]``: ``H``
+    ``(K, d+1, d+1)`` sums ``W u u^T``, ``R`` ``(K, d, d+1)`` sums ``S u^T``,
+    ``qfull`` sums ``sum_{c in S} w_c |g_c|^2`` and ``cquad`` sums
+    ``|S|^2 / W``.  An empty group keeps zero moments.
+    """
+    d = fitting.samples.shape[1]
+    expansion = fitting.expansion
+    K = len(groups)
+    H = np.zeros((K, d + 1, d + 1))
+    R = np.zeros((K, d, d + 1))
+    qfull = np.zeros(K)
+    cquad = np.zeros(K)
+
+    for z, w in fitting.weights():
+        m = z.shape[0]
+        u = np.concatenate([z, np.ones((m, 1))], axis=1)
+        g = np.einsum("cij,mj->mci", expansion.A, z, optimize=True) + expansion.b
+        gsq = _rowsum(g * g)  # (m, C)
+        for k, idx in enumerate(groups):
+            if idx.size == 0:
+                continue
+            wk = w[:, idx]
+            Wk = np.sum(wk, axis=1)  # (m,)
+            Sk = np.einsum("mc,mci->mi", wk, g[:, idx, :], optimize=True)
+            H[k] += np.einsum("m,mi,mj->ij", Wk, u, u, optimize=True)
+            R[k] += Sk.T @ u
+            qfull[k] += float(np.sum(wk * gsq[:, idx]))
+            pos = Wk > 0.0
+            cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
+    return H, R, qfull, cquad
+
+
+def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``M = R H^{-1}`` by Cholesky, and whether ``H`` was rank-deficient.
+
+    A rank-deficient ``H`` is factored as ``H + 1e-10 I`` instead.
+    """
+    try:
+        factor = cho_factor(H)
+        ridged = False
+    except np.linalg.LinAlgError:
+        factor = cho_factor(H + _RIDGE * np.eye(H.shape[0]))
+        ridged = True
+    return cho_solve(factor, R.T).T, ridged
+
+
 def _component_masses(fitting: _FittingSet) -> np.ndarray:
     total = np.zeros(fitting.expansion.n_experts)
     for _, w in fitting.weights():
@@ -728,9 +751,7 @@ def _component_masses(fitting: _FittingSet) -> np.ndarray:
     return total / fitting.samples.shape[0]
 
 
-def _weighted_kmeans(
-    points: np.ndarray, masses: np.ndarray, k: int, seed: int, iters: int = 200
-) -> np.ndarray:
+def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Mass-weighted Lloyd iteration with seeded kmeans++ initialization."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
@@ -747,7 +768,7 @@ def _weighted_kmeans(
         centers.append(points[rng.choice(n, p=scores / scores.sum())])
     centroids = np.stack(centers)
     labels = np.zeros(n, dtype=np.intp)
-    for it in range(iters):
+    for it in range(_KMEANS_ITERS):
         dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dists, axis=1)
         if it > 0 and np.array_equal(new_labels, labels):
@@ -813,23 +834,6 @@ def choose_partition(
     raise ValueError(f"unknown partition method {method!r}")
 
 
-def _partition_moments(fitting: _FittingSet):
-    """Per-component normal-equation moments (additive over cluster members)."""
-    d = fitting.samples.shape[1]
-    C = fitting.expansion.n_experts
-    H = np.zeros((C, d + 1, d + 1))
-    R = np.zeros((C, d, d + 1))
-    q = np.zeros(C)
-    for z, w in fitting.weights():
-        m = z.shape[0]
-        u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = np.einsum("cij,mj->mci", fitting.expansion.A, z, optimize=True) + fitting.expansion.b
-        H += np.einsum("mc,mi,mj->cij", w, u, u, optimize=True)
-        R += np.einsum("mc,mci,mj->cij", w, g, u, optimize=True)
-        q += np.einsum("mc,mc->c", w, _rowsum(g * g))
-    return H, R, q
-
-
 def _restricted_partitions(n: int, max_blocks: int):
     """All set partitions of range(n) into at most ``max_blocks`` blocks."""
 
@@ -850,22 +854,18 @@ def _restricted_partitions(n: int, max_blocks: int):
 
 
 def _exhaustive_partition(fitting: _FittingSet, n_clusters: int) -> list[list[int]]:
-    H, R, q = _partition_moments(fitting)
-    d = fitting.samples.shape[1]
+    # the moments are additive over cluster members: compute them once per
+    # component and sum them per candidate group
+    C = fitting.expansion.n_experts
+    H, R, q, _ = _cluster_moments(fitting, [np.array([c]) for c in range(C)])
     best: list[list[int]] | None = None
     best_obj = np.inf
-    for partition in _restricted_partitions(fitting.expansion.n_experts, n_clusters):
+    for partition in _restricted_partitions(C, n_clusters):
         obj = 0.0
         for group in partition:
-            Hk = H[group].sum(axis=0)
             Rk = R[group].sum(axis=0)
-            qk = q[group].sum()
-            try:
-                factor = cho_factor(Hk)
-            except np.linalg.LinAlgError:
-                factor = cho_factor(Hk + _RIDGE * np.eye(d + 1))
-            M = cho_solve(factor, Rk.T).T
-            obj += qk - float(np.sum(M * Rk))
+            M, _ = _solve_normal(H[group].sum(axis=0), Rk)
+            obj += q[group].sum() - float(np.sum(M * Rk))
         if obj < best_obj:
             best_obj = obj
             best = [sorted(g) for g in partition]
@@ -900,22 +900,35 @@ class McEstimate:
     n: int
 
 
-def _mc_estimate(total: float, total_sq: float, n: int) -> McEstimate:
-    """Mean and standard error of ``n`` draws from their sum and sum of squares."""
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n)
+def _mc_mean(
+    values_fn: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+    sampler: NoisySampler,
+    n: int,
+    rng: np.random.Generator,
+    chunk: int,
+) -> tuple[McEstimate, ...]:
+    """Mean and standard error of each per-sample series over ``n`` draws.
 
-
-def _mc_mean(values_fn, sampler: NoisySampler, n: int, rng: np.random.Generator, chunk: int) -> McEstimate:
-    total = 0.0
-    total_sq = 0.0
+    ``values_fn`` maps a chunk of at most ``chunk`` samples to a tuple of
+    ``(m,)`` series.  Each series is summed on its own, with its sum of
+    squares, chunk by chunk; one ``McEstimate`` is returned per series.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    sums: list[list[float]] = []  # per series: [sum, sum of squares]
     for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        vals = values_fn(sampler.sample(m, rng))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    return _mc_estimate(total, total_sq, n)
+        series = values_fn(sampler.sample(min(chunk, n - lo), rng))
+        if not sums:
+            sums = [[0.0, 0.0] for _ in series]
+        for acc, vals in zip(sums, series):
+            acc[0] += float(np.sum(vals))
+            acc[1] += float(np.sum(vals * vals))
+    estimates = []
+    for total, total_sq in sums:
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        estimates.append(McEstimate(mean=mean, stderr=float(np.sqrt(var / n)), n=n))
+    return tuple(estimates)
 
 
 def mc_distillation_loss(
@@ -924,7 +937,6 @@ def mc_distillation_loss(
     sampler: NoisySampler,
     n: int,
     seed: int = 0,
-    chunk: int | None = None,
 ) -> McEstimate:
     """Monte-Carlo mean and standard error of ``||student(z) - target(z)||^2``.
 
@@ -932,8 +944,6 @@ def mc_distillation_loss(
     student's teacher chain): each batch is then gated once, for both the
     student and the chain's output, with the bits of ``apply_chain``.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples for a standard error")
     if target is None:
         if _path_gating(student)[0] is None:
             raise ValueError("target=None needs a student gated along a chain of operators")
@@ -948,28 +958,22 @@ def mc_distillation_loss(
         def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return f_st(z), f_t(z)
 
-    rng = np.random.default_rng(seed)
-    if chunk is not None:
-        size = chunk
-    else:
-        widest = max(
-            getattr(student, "n_experts", 1), getattr(target, "n_experts", 1)
-        )
-        size = _chunk_size(widest)
+    widest = max(getattr(student, "n_experts", 1), getattr(target, "n_experts", 1))
 
-    def sq_dev(z: np.ndarray) -> np.ndarray:
+    def sq_dev(z: np.ndarray) -> tuple[np.ndarray]:
         got, want = evaluate(z)
         diff = got - want
-        return np.sum(diff * diff, axis=1)
+        return (np.sum(diff * diff, axis=1),)
 
-    return _mc_mean(sq_dev, sampler, n, rng, size)
+    rng = np.random.default_rng(seed)
+    return _mc_mean(sq_dev, sampler, n, rng, _chunk_size(widest))[0]
 
 
 def estimate_lipschitz(
     op,
     sampler: NoisySampler,
     n_pairs: int,
-    scale: float = 1e-3,
+    scale: float = _LIPSCHITZ_SCALE,
     seed: int = 0,
 ) -> float:
     """Empirical lower estimate of the Lipschitz constant from perturbed pairs."""
@@ -1019,8 +1023,6 @@ def error_propagation_audit(
     sampler: NoisySampler,
     n: int,
     seed: int = 0,
-    lipschitz_pairs: int = 2048,
-    lipschitz_scale: float = 1e-3,
 ) -> PropagationAudit:
     """Estimate every term of the two-stage propagation bound on shared samples.
 
@@ -1043,38 +1045,27 @@ def error_propagation_audit(
     if path is None or len(path.ops) != 2 or path.ops[0] is not stage1 or path.ops[1] is not stage2:
         raise ValueError("merged operator's gating must run exactly (stage1, stage2)")
 
-    rng = np.random.default_rng(seed)
-    chunk = _chunk_size(max(getattr(merged, "n_experts", 1), 64))
-    acc = np.zeros((4, 2))  # rows: final, merge, shift, stage1; cols: sum, sum of squares
-
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        z = sampler.sample(m, rng)
+    def terms(z: np.ndarray) -> tuple[np.ndarray, ...]:
         merged_out, (y_student, composed) = merged.apply_along_chain(z)
         y_teacher = apply_chain(ops1, z)
         teacher_full = apply_chain(ops2, y_teacher)
         shift_ref = apply_chain(ops2, y_student)
+        diffs = (
+            merged_out - teacher_full,
+            merged_out - composed,
+            composed - shift_ref,
+            y_student - y_teacher,
+        )
+        return tuple(np.sum(diff * diff, axis=1) for diff in diffs)
 
-        for row, diff in enumerate(
-            (
-                merged_out - teacher_full,
-                merged_out - composed,
-                composed - shift_ref,
-                y_student - y_teacher,
-            )
-        ):
-            sq = np.sum(diff * diff, axis=1)
-            acc[row, 0] += float(np.sum(sq))
-            acc[row, 1] += float(np.sum(sq * sq))
-
-    final, merge_err, shift, stage1_err = (
-        _mc_estimate(acc[r, 0], acc[r, 1], n) for r in range(4)
-    )
+    rng = np.random.default_rng(seed)
+    chunk = _chunk_size(max(getattr(merged, "n_experts", 1), 64))
+    final, merge_err, shift, stage1_err = _mc_mean(terms, sampler, n, rng, chunk)
 
     lip = _lipschitz_at(
         lambda y: apply_chain(ops2, y),
-        stage1.apply(sampler.sample(lipschitz_pairs, rng)),
-        lipschitz_scale,
+        stage1.apply(sampler.sample(_LIPSCHITZ_PAIRS, rng)),
+        _LIPSCHITZ_SCALE,
         rng,
     )
 
@@ -1105,19 +1096,17 @@ def distill_chain(
     t_lo: int,
     n_fit: int = 8192,
     seed: int = 0,
-    n_clusters: int | None = None,
-    method: str = "greedy_affine",
 ) -> MoeOperator:
     """Compress the teacher steps ``t_hi ... t_lo`` into one clustered student.
 
     Extends one step at a time: compose the current student with the next
     teacher step (a K*K expansion), cluster, refit.  Keeps the component
     count bounded regardless of horizon, which is what makes long-horizon
-    stage students tractable.
+    stage students tractable.  Each step keeps at most ``gmm.K`` clusters,
+    chosen by the greedy affine k-means.
     """
     if not 1 <= t_lo <= t_hi <= sched.T:
         raise ValueError(f"invalid step range ({t_lo}, {t_hi}) for T={sched.T}")
-    K = gmm.K if n_clusters is None else n_clusters
     sampler = NoisySampler(gmm=gmm, sched=sched, t=t_hi)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     current = single_step_moe(gmm, sched, t_hi)
@@ -1125,7 +1114,7 @@ def distill_chain(
         expansion = compose_expand([current, single_step_moe(gmm, sched, t)])
         samples = sampler.sample(n_fit, rng)
         current = _compress(
-            expansion, samples, method=method, n_clusters=K, seed=seed + 7919 * (step + 1)
+            expansion, samples, n_clusters=gmm.K, seed=seed + 7919 * (step + 1)
         ).student
     return current
 

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagGaussian:
     """Centered Gaussian with diagonal covariance; variances stored sorted non-increasing."""
 
@@ -93,7 +93,7 @@ def signal_noise_vector(sched: NoiseSchedule, data: DiagGaussian, t: int, i: int
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagOperator:
     """Per-coordinate scale factors covering a contiguous block of steps.
 
@@ -180,7 +180,7 @@ def composite_operator(sched: NoiseSchedule, data: DiagGaussian, t1: int, t2: in
     return DiagOperator(entries=_interval_product(single, t1, t2), interval=(t1, t2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContractionReport:
     """Per-coordinate certificate that the full composition contracts below sqrt(lam)."""
 
@@ -200,7 +200,7 @@ def contraction_certificate(sched: NoiseSchedule, data: DiagGaussian) -> Contrac
     return ContractionReport(factor=c, bound=bound, slack=bound - c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkageProfile:
     """Interpolation weights ``gamma[t, i] = exp(-2*s_train*(alpha_t^2*lam_i + sigma_t^2))``.
 

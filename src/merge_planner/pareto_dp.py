@@ -60,7 +60,7 @@ _CHUNK_ROWS = 1 << 14  # candidate rows materialised per skyline call
 _SFS_BLOCK = 256  # rows filtered together in the d >= 3 skyline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceVector:
     """Per-coordinate preference direction: +1 iff lam > 1, else -1."""
 
@@ -244,8 +244,11 @@ def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndar
     order (the one-shot merge, then the splits by ascending ``m``), with the
     same arithmetic, ``(1-g)*prod + g*single[t2]`` and
     ``(1-g)*(left*right) + g*right``, the one-shot product extended by one
-    step per length, and the survivor is the first ``argmax(candidate * rho)``
-    as in :func:`_skyline` at d = 1.
+    step per length.  The survivor is the candidate with the largest
+    ``candidate * rho``, as in :func:`_skyline` at d = 1, and it is read back
+    as ``max(candidate * rho) * rho``.  With ``rho`` = ±1 both products are
+    exact, and the entries are nonnegative (never -0.0), so tied maxima have
+    the same bits and the kept entry is the one ``_skyline`` keeps.
     """
     T, n = single.shape
     value = np.empty((T, T, n))  # value[t1-1, t2-1]: the entry kept for (t1, t2)
@@ -264,8 +267,7 @@ def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndar
         right = value[starts + left_len, ends]
         merged = one_minus_g * (left * right) + g * right
         cand = np.concatenate([one_shot[None], merged])
-        best = np.argmax(cand * rho, axis=0)
-        value[starts, ends] = np.take_along_axis(cand, best[None], axis=0)[0]
+        value[starts, ends] = np.max(cand * rho, axis=0) * rho
     return value[0, T - 1]
 
 

@@ -37,7 +37,7 @@ def _frozen_array(values, n: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Explicit noise schedule over steps ``t = 0..T``.
 

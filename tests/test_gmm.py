@@ -463,6 +463,36 @@ class TestChoosePartition:
             fit = fit_cluster_student(expansion, partition, samples)
             assert fit.bound <= 1e-12
 
+    def test_exhaustive_is_the_bound_minimizer(self):
+        # C = 4 or 6 components (a K = 2 or 3 step, then a K = 2 step): the
+        # search must pick the partition whose own fit has the least bound
+        sched = make_cosine_schedule(16)
+        for trial in range(6):
+            rng = np.random.default_rng(9100 + trial)
+            mixtures = []
+            for K in (2 + trial % 2, 2):
+                mixtures.append(
+                    GaussianMixture(
+                        pi=np.full(K, 1.0 / K),
+                        mu=rng.normal(scale=2.0, size=(K, 2)),
+                        cov=np.stack([np.eye(2) * rng.uniform(0.1, 0.5) ** 2 for _ in range(K)]),
+                    )
+                )
+            t = int(rng.integers(6, 13))
+            ops = [single_step_moe(mixtures[0], sched, t), single_step_moe(mixtures[1], sched, t - 1)]
+            expansion = compose_expand(ops)
+            samples = NoisySampler(gmm=mixtures[0], sched=sched, t=t).sample(256, rng)
+            n_clusters = 2 + trial // 2 % 2
+            chosen = choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters)
+            best = min(
+                fit_cluster_student(expansion, partition, samples).bound
+                for partition in gmm_module._restricted_partitions(
+                    expansion.n_experts, n_clusters
+                )
+            )
+            got = fit_cluster_student(expansion, chosen, samples).bound
+            assert got == pytest.approx(best, rel=1e-9, abs=0.0)
+
     def test_exhaustive_guard(self, sched32, circle8):
         ops = [single_step_moe(circle8, sched32, t) for t in (32, 31)]
         expansion = compose_expand(ops)
@@ -607,6 +637,14 @@ class TestErrorPropagation:
         assert audit.stage1.mean > 0.0
         assert audit.final.mean > 0.0
         assert audit.holds
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_requires_two_samples(self, n):
+        sched = make_cosine_schedule(2)
+        _, op2, op1, sampler = self._setup(sched)
+        merged = compose_expand([op2, op1])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            error_propagation_audit(op2, op1, merged, [op2, op1], sampler, n=n, seed=0)
 
     def test_interval_mismatch_rejected(self):
         sched = make_cosine_schedule(4)
