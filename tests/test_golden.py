@@ -4,7 +4,10 @@ The plan files under ``tests/golden/<case>/`` were written by ``run_plan``
 (default ``s_train`` 6.4, cosine schedule) at the commit before the
 batch-skyline rewrite of the Pareto DP, so any change to the DP that alters
 the frontier order, the chosen plan or a single output byte fails here.  The
-three-coordinate case exercises the d >= 3 skyline path.
+three-coordinate cases exercise the d = 3 skyline path; the T = 12 one,
+frozen at the commit before that path got its own staircase filter, prunes
+candidate sets of up to 16 633 rows (more than one chunk) into frontiers of
+up to 6 528 items.
 
 The sweep files were written by ``run_sweep`` and ``run_ablation`` at the
 commit before the sweep became one batched pass over the lambda grid, when
@@ -39,6 +42,7 @@ CASES = {
     "lam_1.08_0.95_T8": ((1.08, 0.95), 8),
     "lam_1.08_0.95_T16": ((1.08, 0.95), 16),
     "lam_1.08_0.95_3_T8": ((1.08, 0.95, 3.0), 8),
+    "lam_1.08_0.95_1.3_T12": ((1.08, 0.95, 1.3), 12),
 }
 # the default grid is 50 log-spaced lambdas in [0.2, 5] at T = 32, s = 6.4
 SWEEP_CASES = {
