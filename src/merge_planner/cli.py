@@ -5,7 +5,10 @@ diagram), ``sweep`` (lambda grid vs canonical strategies), ``gmm-approx``
 (clustering bounds over composition horizons), ``gmm-propagate`` (two-stage
 audit) and ``verify`` (the full acceptance suite).  Every flag overrides
 the corresponding config-file key; ``MERGE_PLANNER_SEED`` overrides the
-config seed and is itself overridden by an explicit ``--seed``.
+config seed and is itself overridden by an explicit ``--seed``.  Invalid
+input (a ``ValueError``) and an outgrown frontier cap are reported as
+``merge-planner: error: <message>`` with exit status 2, as argparse reports
+bad flags.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import argparse
 import sys
 
 from . import verify as verify_mod
+from .pareto_dp import FrontierCapExceeded
 from .report import (
+    ExperimentConfig,
     load_config,
     run_ablation,
     run_gmm_approx,
@@ -94,13 +99,20 @@ def _overrides(args: argparse.Namespace, kind: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
-    if command == "verify":
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
         results = verify_mod.run_all()
         return 0 if all(r.passed for r in results) else 1
-    cfg = load_config(args.config, overrides=_overrides(args, command))
+    try:
+        cfg = load_config(args.config, overrides=_overrides(args, args.command))
+        return _run(args.command, cfg)
+    except (ValueError, FrontierCapExceeded) as exc:
+        parser.error(str(exc))
 
+
+def _run(command: str, cfg: ExperimentConfig) -> int:
+    """Run one experiment subcommand, print its summary and return the exit status."""
     if command == "plan":
         result = run_plan(cfg)
         print(f"plan:      {format_plan(result.plan)}")

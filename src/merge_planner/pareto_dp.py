@@ -94,10 +94,8 @@ def _skyline(signed: np.ndarray) -> np.ndarray:
 
     The same rows, in the same order, as inserting them one by one.  d = 1:
     the first argmax.  d = 2: sort by (-x, -y, index), keep rows whose y tops
-    the running maximum.  d >= 3: sort-filter skyline; after a presort by
-    (-sum, -entries lexicographically, index) no row is weakly dominated by a
-    later one (float addition is monotone), so each block drops the rows
-    weakly dominated by a survivor or by an earlier row of the block.
+    the running maximum.  d = 3: :func:`_staircase_skyline`.  d >= 4:
+    :func:`_sort_filter_skyline`.
     """
     n, d = signed.shape
     if n <= 1:
@@ -109,6 +107,63 @@ def _skyline(signed: np.ndarray) -> np.ndarray:
         y = signed[order, 1]
         keep = np.concatenate([[True], y[1:] > np.maximum.accumulate(y)[:-1]])
         return np.sort(order[keep])
+    if d == 3:
+        return _staircase_skyline(signed)
+    return _sort_filter_skyline(signed)
+
+
+def _staircase_skyline(signed: np.ndarray) -> np.ndarray:
+    """:func:`_skyline` for d = 3, via a 2-D dominance staircase.
+
+    After a stable sort by (-x, -y, -z, index) every earlier row has x at
+    least as large, so a row is weakly dominated (or repeats an earlier row)
+    exactly when some earlier row has y and z at least as large; by
+    transitivity, some earlier survivor then does.  The survivors' (y, z)
+    skyline is a staircase: y strictly ascending, z strictly descending, so
+    the largest z among the steps with y >= a row's y sits at the first such
+    step.  Each block is tested against the staircase with one
+    ``searchsorted``, the rows that pass are checked against each other, and
+    the staircase is rebuilt, by the d = 2 path, from the old steps and the
+    new survivors.
+    """
+    n = len(signed)
+    order = np.lexsort((-signed[:, 2], -signed[:, 1], -signed[:, 0]))
+    y = signed[order, 1]
+    z = signed[order, 2]
+    stair_y = stair_z = np.empty(0)
+    kept = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _SFS_BLOCK):
+        block_y, block_z = y[lo : lo + _SFS_BLOCK], z[lo : lo + _SFS_BLOCK]
+        step = np.searchsorted(stair_y, block_y)  # first step with y >= the row's
+        free = step == len(stair_y)
+        free[~free] = stair_z[step[~free]] < block_z[~free]
+        rows = np.flatnonzero(free)
+        new_y, new_z = block_y[rows], block_z[rows]
+        # [r, q]: earlier passing row q weakly dominates passing row r in (y, z)
+        earlier = np.arange(len(rows))
+        within = (earlier[:, None] > earlier) & (new_y[:, None] <= new_y)
+        within &= new_z[:, None] <= new_z
+        keep = ~within.any(axis=1)
+        kept[lo + rows[keep]] = True
+        if lo + _SFS_BLOCK >= n:
+            break
+        stair_y = np.concatenate([stair_y, new_y[keep]])
+        stair_z = np.concatenate([stair_z, new_z[keep]])
+        top = _skyline(np.column_stack([stair_y, stair_z]))
+        top = top[np.argsort(stair_y[top])]
+        stair_y, stair_z = stair_y[top], stair_z[top]
+    return np.sort(order[kept])
+
+
+def _sort_filter_skyline(signed: np.ndarray) -> np.ndarray:
+    """:func:`_skyline` for d >= 4 (and any d >= 2), by sort-filter skyline.
+
+    After a presort by (-sum, -entries lexicographically, index) no row is
+    weakly dominated by a later one (float addition is monotone), so each
+    block drops the rows weakly dominated by a survivor or by an earlier row
+    of the block.
+    """
+    n, d = signed.shape
     order = np.lexsort(np.vstack([-signed[:, ::-1].T, -signed.sum(axis=1)]))
     cols = np.ascontiguousarray(signed[order].T)  # one contiguous row per coordinate
     survivors = np.empty_like(cols)

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from merge_planner import report
 from merge_planner.cli import main
 from merge_planner.linear_op import DiagGaussian, shrinkage, surrogate_target
 from merge_planner.pareto_dp import pareto_dp
@@ -99,3 +102,23 @@ def test_verify_rejects_common_flags(capsys):
         main(["verify", "--T", "8"])
     assert exc.value.code == 2
     assert "--T" in capsys.readouterr().err
+
+
+def test_invalid_lambda_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--lambda", "1,-2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "merge-planner: error: variances must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a one-item cap, so the first two-item frontier of this d = 2 plan overflows at once
+    monkeypatch.setattr(report, "pareto_dp", functools.partial(pareto_dp, max_frontier_size=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--lambda", "1.08,0.95", "--T", "8", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "merge-planner: error: frontier for interval" in err
+    assert "(cap 1)" in err

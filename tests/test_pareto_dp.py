@@ -227,6 +227,33 @@ class TestSkyline:
             mp.setattr(dp_module, "_SFS_BLOCK", 3)
             assert _skyline(signed).tolist() == expected
 
+    def test_three_dim_last_block_of_one_row(self, monkeypatch):
+        # sorted by x descending; with 3-row blocks the last row is a block of its own
+        signed = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert _skyline(signed).tolist() == [0, 3]
+        monkeypatch.setattr(dp_module, "_SFS_BLOCK", 3)
+        assert _skyline(signed).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("seed, n, step", [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)])
+    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, block, seed, n, step):
+        """The d = 3 path against the d >= 4 sort-filter, at sizes the O(n^2) oracle cannot reach.
+
+        Rows near the plane x + y + z = 0 give large skylines; rounding them to
+        a grid gives ties, and some rows are exact copies or carry -0.0.
+        """
+        rng = np.random.default_rng(seed)
+        signed = rng.normal(size=(n, 3))
+        signed = np.round((signed - signed.mean(axis=1, keepdims=True)) / step) * step
+        copies = rng.random(n) < 0.1
+        signed[copies] = signed[rng.integers(0, n, np.count_nonzero(copies))]
+        signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
+        expected = dp_module._sort_filter_skyline(signed).tolist()
+        if block is not None:
+            monkeypatch.setattr(dp_module, "_SFS_BLOCK", block)
+        assert n // dp_module._SFS_BLOCK >= 2  # survivors carry across blocks
+        assert _skyline(signed).tolist() == expected
+
 
 class TestMergeMapMonotonicity:
     def test_strictly_increasing_in_both_arguments(self):
