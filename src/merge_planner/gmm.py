@@ -17,6 +17,7 @@ per-expert objects: expert ``k`` is ``z -> op.A[k] z + op.b[k]``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -70,7 +71,8 @@ class GaussianMixture:
 
     ``_eig_vals`` and ``_eig_vecs`` hold the eigendecompositions
     ``cov[k] = vecs[k] diag(vals[k]) vecs[k]^T``, clamped to PSD, computed
-    once here.  Compares and hashes by identity.
+    once here.  ``_gating_cache`` holds the posterior gating's constants per
+    ``(schedule, t)``.  Compares and hashes by identity.
     """
 
     pi: np.ndarray
@@ -104,6 +106,7 @@ class GaussianMixture:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_eig_vals", vals)
         object.__setattr__(self, "_eig_vecs", vecs)
+        object.__setattr__(self, "_gating_cache", {})
 
     @property
     def K(self) -> int:
@@ -112,6 +115,29 @@ class GaussianMixture:
     @property
     def d(self) -> int:
         return self.mu.shape[1]
+
+    def _gating_constants(self, sched: NoiseSchedule, t: int) -> tuple[np.ndarray, ...]:
+        """The posterior gating's per-component constants at level ``t`` of ``sched``.
+
+        ``alpha_t mu_k`` ``(K, d)``, the noisy eigenvalues
+        ``alpha_t^2 vals_k + sigma_t^2`` ``(K, d)``, ``log pi_k`` ``(K,)`` and
+        ``d log 2 pi + log det`` ``(K,)``, each computed once per key.  The
+        key holds the schedule, which hashes by identity, so the cache lives
+        and dies with this mixture.
+        """
+        consts = self._gating_cache.get((sched, t))
+        if consts is None:
+            a, s = sched.alpha[t], sched.sigma[t]
+            noisy_vals = a * a * self._eig_vals + s * s
+            log_pi = np.array([np.log(self.pi[k]) for k in range(self.K)])
+            norm = np.array(
+                [self.d * _LOG_2PI + float(np.sum(np.log(v))) for v in noisy_vals]
+            )
+            consts = (a * self.mu, noisy_vals, log_pi, norm)
+            for arr in consts:
+                arr.setflags(write=False)
+            self._gating_cache[(sched, t)] = consts
+        return consts
 
 
 def make_circle_mixture(K: int = 8, radius: float = 5.0, iso_std: float = 0.3) -> GaussianMixture:
@@ -176,29 +202,49 @@ def _pairwise_columns(a: np.ndarray, lo: int, n: int) -> np.ndarray:
     return _pairwise_columns(a, lo, half) + _pairwise_columns(a, lo + half, n - half)
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=1, keepdims=True)`` with scipy's exact arithmetic.
+@functools.lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The greedy contraction path ``np.einsum(..., optimize=True)`` finds for these shapes."""
+    dummies = [np.broadcast_to(np.float64(0.0), shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *dummies, optimize="greedy")[0])
 
-    The max entries of each row are counted (``m``) instead of summed, so the
-    result is ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
-    ``exp(a - max)`` over the other entries; rows where that is not finite
-    fall back to ``log(sum(exp(a)))``.  A plain max-shift log-sum-exp differs
-    in the last ulp, which is enough to flip a k-means partition downstream.
+
+def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *ops, optimize=True)``, without searching the path on every call.
+
+    The path depends only on the subscripts and the operand shapes, so it is
+    searched once per pair (on zero-stride dummies) and reused.
+    """
+    path = _einsum_path(subscripts, tuple(op.shape for op in ops))
+    return np.einsum(subscripts, *ops, optimize=path)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=0)`` of a ``(K, n)`` array, with scipy's exact arithmetic.
+
+    The max entries of each column are counted (``m``) instead of summed, so
+    the result is ``log1p(s / m) + log(m) + max`` with ``s`` the sum of
+    ``exp(a - max)`` over the other entries, both summed by NumPy's pairwise
+    tree (``_pairwise_columns``); columns where that is not finite fall back
+    to ``log(sum(exp(a)))`` on C-contiguous rows.  A plain max-shift
+    log-sum-exp differs in the last ulp, which is enough to flip a k-means
+    partition downstream.  Every step runs over rows of ``n``.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # column by column: a reduction along rows of a few entries is slow
-        a_max = a[:, :1].copy()
-        for j in range(1, a.shape[1]):
-            np.maximum(a_max, a[:, j : j + 1], out=a_max)
+        a_max = a[0].copy()
+        for row in a[1:]:
+            np.maximum(a_max, row, out=a_max)
         at_max = a == a_max
         e = np.exp(a - a_max)
         e[at_max] = 0.0
-        s = _rowsum(e)[:, None]
-        m = _rowsum(at_max.astype(np.float64))[:, None]
+        # ``_rowsum``'s tree without its trailing ``+= 0.0``: neither sum can be -0.0
+        s = _pairwise_columns(e.T, 0, a.shape[0])
+        m = _pairwise_columns(at_max.astype(np.float64).T, 0, a.shape[0])
         out = np.log1p(s / m) + np.log(m) + a_max
-        bad = ~np.isfinite(out[:, 0])
+        bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1, keepdims=True))
+            rows = np.ascontiguousarray(a[:, bad].T)
+            out[bad] = np.log(np.sum(np.exp(rows), axis=1))
     return out
 
 
@@ -207,22 +253,32 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
 
     ``log gamma_k ∝ log pi_k + log N(z; alpha_t mu_k, alpha_t^2 cov_k + sigma_t^2 I)``,
     normalized with log-sum-exp so extreme noise levels cannot underflow.
+    Returns a C-contiguous ``(n, K)`` array (``(K,)`` for a single point).
+
+    Internally ``z^T`` is held as ``(d, n)`` and the log-weights as
+    ``(K, n)``, so every elementwise step and reduction runs over contiguous
+    rows of ``n``.  The rotation into each component's eigenbasis stays the
+    BLAS call ``(z^T - alpha_t mu_k).T @ vecs[k]`` on an F-order ``(n, d)``
+    operand, then is laid out as ``(d, n)``.  Writing it ``vecs[k].T @ z^T``
+    would run another BLAS kernel (``gemv`` at n = 1), whose rounding need
+    not match.
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
     z2, single = _as_batch(z)
-    a, s = sched.alpha[t], sched.sigma[t]
-    vals, vecs = gmm._eig_vals, gmm._eig_vecs
-    noisy_vals = a * a * vals + s * s  # (K, d)
-    lw = np.empty((z2.shape[0], gmm.K))
+    shift, noisy_vals, log_pi, norm = gmm._gating_constants(sched, t)
+    vecs = gmm._eig_vecs
+    zT = np.ascontiguousarray(z2.T)
+    y = np.empty((gmm.K, gmm.d, z2.shape[0]))  # per component, y^T of the rotated points
     for k in range(gmm.K):
-        centered = z2 - a * gmm.mu[k]
-        y = centered @ vecs[k]  # rotate into the component eigenbasis
-        quad = _rowsum(y * y / noisy_vals[k])
-        logdet = float(np.sum(np.log(noisy_vals[k])))
-        lw[:, k] = np.log(gmm.pi[k]) - 0.5 * (gmm.d * _LOG_2PI + logdet + quad)
-    lw -= _logsumexp_rows(lw)
-    return lw[0] if single else lw
+        y[k] = ((zT - shift[k][:, None]).T @ vecs[k]).T
+    y *= y
+    y /= noisy_vals[:, :, None]
+    # (K, n): ``_rowsum``'s tree; its trailing ``+= 0.0`` is moot on a sum of squares
+    quad = _pairwise_columns(y.transpose(0, 2, 1), 0, gmm.d)
+    lw = log_pi[:, None] - 0.5 * (norm[:, None] + quad)
+    lw -= _logsumexp(lw)
+    return lw[:, 0].copy() if single else np.ascontiguousarray(lw.T)
 
 
 def posterior_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z) -> np.ndarray:
@@ -309,7 +365,7 @@ class _AffineMixture:
         return self.A.shape[1]
 
     def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        return np.einsum("nk,kij,nj->ni", w, self.A, z2, optimize=True) + w @ self.b
+        return _einsum("nk,kij,nj->ni", w, self.A, z2) + w @ self.b
 
     def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = self.gating.weights(z2)
@@ -714,15 +770,19 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = np.einsum("cij,mj->mci", expansion.A, z, optimize=True) + expansion.b
+        g = _einsum("cij,mj->mci", expansion.A, z) + expansion.b
         gsq = _rowsum(g * g)  # (m, C)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
+            # keep the fancy gather: it returns column-major strides (8, 8 m),
+            # and ``np.sum`` of ``wk * gsq[:, idx]`` below adds in memory
+            # order; ``np.take`` returns C order, which reorders that flat
+            # ``qfull`` sum and changes its bits
             wk = w[:, idx]
             Wk = np.sum(wk, axis=1)  # (m,)
-            Sk = np.einsum("mc,mci->mi", wk, g[:, idx, :], optimize=True)
-            H[k] += np.einsum("m,mi,mj->ij", Wk, u, u, optimize=True)
+            Sk = _einsum("mc,mci->mi", wk, g[:, idx, :])
+            H[k] += _einsum("m,mi,mj->ij", Wk, u, u)
             R[k] += Sk.T @ u
             qfull[k] += float(np.sum(wk * gsq[:, idx]))
             pos = Wk > 0.0

@@ -264,7 +264,9 @@ def pareto_dp(
             if max_frontier_size is not None and len(rows) > max_frontier_size:
                 raise FrontierCapExceeded(
                     f"frontier for interval ({t1},{t2}) has {len(rows)} items "
-                    f"(cap {max_frontier_size}); raise the cap or reduce d"
+                    f"(cap {max_frontier_size}); the CLI and config files cannot change "
+                    "the cap: use a smaller d or T, or call "
+                    "pareto_dp(max_frontier_size=...) from Python"
                 )
             entries[(t1, t2)] = rows
             back[(t1, t2)] = ptrs

@@ -122,3 +122,6 @@ def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "merge-planner: error: frontier for interval" in err
     assert "(cap 1)" in err
+    # no flag or config key sets the cap, so the message names the ways that exist
+    assert "raise the cap" not in err
+    assert "use a smaller d or T, or call pareto_dp(max_frontier_size=...) from Python" in err

@@ -875,6 +875,7 @@ def _lse_inputs(draw):
 
 
 class TestLogSumExp:
+    # ``_logsumexp`` reduces axis 0 of a (K, n) array: it gets each case transposed
     @settings(PROPERTY_SETTINGS, max_examples=300)
     @given(_lse_inputs())
     @example(np.array([[1e4]]))
@@ -882,8 +883,8 @@ class TestLogSumExp:
     @example(np.full((3, 8), -712.25))
     @example(np.array([[1e4, 1e4, -1e4, 1e-3], [-1e-3, -1e-3, -1e-3, -1e-3]]))
     def test_matches_scipy_bit_for_bit(self, a):
-        want = scipy.special.logsumexp(a, axis=1, keepdims=True)
-        got = gmm_module._logsumexp_rows(a)
+        want = scipy.special.logsumexp(a, axis=1)
+        got = gmm_module._logsumexp(np.ascontiguousarray(a.T))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -893,8 +894,151 @@ class TestLogSumExp:
     )
     def test_non_finite_rows_match_scipy(self, row):
         a = np.array([row, [0.5, 0.25]])
-        want = scipy.special.logsumexp(a, axis=1, keepdims=True)
-        assert gmm_module._logsumexp_rows(a).tobytes() == want.tobytes()
+        want = scipy.special.logsumexp(a, axis=1)
+        assert gmm_module._logsumexp(np.ascontiguousarray(a.T)).tobytes() == want.tobytes()
+
+
+def _reference_logsumexp_rows(a):
+    # the per-row log-sum-exp the gating used before it ran over (K, n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a[:, :1].copy()
+        for j in range(1, a.shape[1]):
+            np.maximum(a_max, a[:, j : j + 1], out=a_max)
+        at_max = a == a_max
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        s = gmm_module._rowsum(e)[:, None]
+        m = gmm_module._rowsum(at_max.astype(np.float64))[:, None]
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out[:, 0])
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1, keepdims=True))
+    return out
+
+
+def _reference_posterior_log_weights(gmm, sched, t, z):
+    # the per-component gating over (n, d) rows, one column of (n, K) at a time
+    z2 = np.asarray(z, dtype=np.float64)
+    single = z2.ndim == 1
+    if single:
+        z2 = z2[None, :]
+    a, s = sched.alpha[t], sched.sigma[t]
+    vals, vecs = gmm._eig_vals, gmm._eig_vecs
+    noisy_vals = a * a * vals + s * s
+    lw = np.empty((z2.shape[0], gmm.K))
+    for k in range(gmm.K):
+        centered = z2 - a * gmm.mu[k]
+        y = centered @ vecs[k]
+        quad = gmm_module._rowsum(y * y / noisy_vals[k])
+        logdet = float(np.sum(np.log(noisy_vals[k])))
+        lw[:, k] = np.log(gmm.pi[k]) - 0.5 * (gmm.d * gmm_module._LOG_2PI + logdet + quad)
+    lw -= _reference_logsumexp_rows(lw)
+    return lw[0] if single else lw
+
+
+def _random_mixture(rng, K, d):
+    pi = rng.random(K) + 0.05
+    B = rng.standard_normal((K, d, d)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(K, 1, 1))
+    cov = B @ np.transpose(B, (0, 2, 1)) + 1e-3 * np.eye(d)
+    return GaussianMixture(
+        pi=pi / pi.sum(),
+        mu=rng.standard_normal((K, d)) * 10.0 ** rng.uniform(-1.0, 1.5),
+        cov=0.5 * (cov + np.transpose(cov, (0, 2, 1))),
+    )
+
+
+@st.composite
+def _gating_cases(draw):
+    K = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(1), st.integers(2, 16), st.integers(17, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = draw(st.integers(1, 40))
+    t = draw(st.integers(1, T))
+    base = rng.standard_normal((2 * n, d + 1)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    special = draw(st.sampled_from([0.0, 0.05]))
+    rows = rng.random(2 * n) < special
+    base[rows] = rng.choice([np.inf, -np.inf, 1e155, -1e155], size=(int(rows.sum()), 1))
+    entries = rng.random(base.shape) < special
+    base[entries] = rng.choice([np.inf, -np.inf, 1e155], size=int(entries.sum()))
+    # contiguous rows, or a strided view of them
+    z = base[:n, :d].copy() if draw(st.booleans()) else base[::2, 1:]
+    return _random_mixture(rng, K, d), make_cosine_schedule(T), t, z
+
+
+class TestPosteriorGatingOracle:
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(_gating_cases())
+    def test_matches_per_component_reference_bit_for_bit(self, case):
+        gmm, sched, t, z = case
+        with np.errstate(over="ignore", invalid="ignore"):  # the inf and 1e155 rows
+            want = _reference_posterior_log_weights(gmm, sched, t, z)
+            got = gmm_module.posterior_log_weights(gmm, sched, t, z)
+            again = gmm_module.posterior_log_weights(gmm, sched, t, z)
+        assert got.shape == want.shape == (z.shape[0], gmm.K)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+        # the constants come from the mixture's cache the second time
+        assert again.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_row_matches_reference(self, d, seed):
+        # one row is where ``vecs[k].T @ z^T`` would run BLAS gemv and change bits
+        rng = np.random.default_rng(seed)
+        gmm = _random_mixture(rng, 8, d)
+        sched = make_cosine_schedule(10)
+        z = rng.standard_normal(d) * 3.0
+        for t in (1, 5, 10):
+            for point in (z, z[None, :]):
+                want = _reference_posterior_log_weights(gmm, sched, t, point)
+                got = gmm_module.posterior_log_weights(gmm, sched, t, point)
+                assert got.shape == want.shape
+                assert got.flags["C_CONTIGUOUS"]
+                assert got.tobytes() == want.tobytes()
+
+    def test_constants_are_cached_per_schedule_and_level(self, circle8):
+        sched_a, sched_b = make_cosine_schedule(8), make_cosine_schedule(8)
+        first = circle8._gating_constants(sched_a, 3)
+        assert circle8._gating_constants(sched_a, 3) is first
+        assert circle8._gating_constants(sched_b, 3) is not first
+        assert circle8._gating_constants(sched_a, 4) is not first
+        assert make_circle_mixture(8)._gating_constants(sched_a, 3) is not first
+
+
+class TestEinsum:
+    # the shapes the mixture workloads contract, per subscripts
+    CASES = [
+        ("nk,kij,nj->ni", [(1024, 8), (8, 2, 2), (1024, 2)]),
+        ("nk,kij,nj->ni", [(3000, 8), (8, 2, 2), (3000, 2)]),
+        ("nk,kij,nj->ni", [(8192, 8), (8, 2, 2), (8192, 2)]),
+        ("nk,kij,nj->ni", [(1808, 8), (8, 2, 2), (1808, 2)]),
+        ("nk,kij,nj->ni", [(2048, 8), (8, 2, 2), (2048, 2)]),
+        ("cij,mj->mci", [(64, 2, 2), (1024, 2)]),
+        ("cij,mj->mci", [(512, 2, 2), (1024, 2)]),
+        ("mc,mci->mi", [(1024, 8), (1024, 8, 2)]),
+        ("mc,mci->mi", [(1024, 1), (1024, 1, 2)]),
+        ("mc,mci->mi", [(1024, 93), (1024, 93, 2)]),
+        ("m,mi,mj->ij", [(1024,), (1024, 3), (1024, 3)]),
+    ]
+
+    @pytest.mark.parametrize("subscripts, shapes", CASES)
+    def test_matches_optimized_einsum_bit_for_bit(self, subscripts, shapes):
+        rng = np.random.default_rng(len(subscripts) * 1000 + shapes[0][0])
+        ops = [rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3) for shape in shapes]
+        want = np.einsum(subscripts, *ops, optimize=True)
+        for _ in range(2):  # a searched path, then the cached one
+            got = gmm_module._einsum(subscripts, *ops)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_path_cache_is_bounded(self):
+        maxsize = gmm_module._einsum_path.cache_info().maxsize
+        assert maxsize is not None
+        for m in range(1, maxsize + 20):
+            u = np.ones((m, 3))
+            gmm_module._einsum("m,mi,mj->ij", np.ones(m), u, u)
+        assert gmm_module._einsum_path.cache_info().currsize <= maxsize
 
 
 _MIXTURE_TEXT = """K 2
