@@ -235,7 +235,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         for row in a[1:]:
             np.maximum(a_max, row, out=a_max)
         at_max = a == a_max
-        e = np.exp(a - a_max)
+        e = a - a_max
+        np.exp(e, out=e)
         e[at_max] = 0.0
         # ``_rowsum``'s tree without its trailing ``+= 0.0``: neither sum can be -0.0
         s = _pairwise_columns(e.T, 0, a.shape[0])
@@ -276,6 +277,7 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     y /= noisy_vals[:, :, None]
     # (K, n): ``_rowsum``'s tree; its trailing ``+= 0.0`` is moot on a sum of squares
     quad = _pairwise_columns(y.transpose(0, 2, 1), 0, gmm.d)
+    del y  # free the (K, d, n) rotations before the log-sum-exp's temporaries
     lw = log_pi[:, None] - 0.5 * (norm[:, None] + quad)
     lw -= _logsumexp(lw)
     return lw[:, 0].copy() if single else np.ascontiguousarray(lw.T)
