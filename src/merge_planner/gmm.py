@@ -202,7 +202,7 @@ def _pairwise_columns(a: np.ndarray, lo: int, n: int) -> np.ndarray:
     return _pairwise_columns(a, lo, half) + _pairwise_columns(a, lo + half, n - half)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The greedy contraction path ``np.einsum(..., optimize=True)`` finds for these shapes."""
     dummies = [np.broadcast_to(np.float64(0.0), shape) for shape in shapes]
@@ -212,9 +212,14 @@ def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
 def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
     """``np.einsum(subscripts, *ops, optimize=True)``, without searching the path on every call.
 
-    The path depends only on the subscripts and the operand shapes, so it is
-    searched once per pair (on zero-stride dummies) and reused.
+    NumPy searches a contraction path only for three or more operands.  That
+    path depends only on the subscripts and the operand shapes, so it is
+    searched once per pair (on zero-stride dummies) and reused.  Two-operand
+    calls have nothing to search and stay out of the cache, whose entries
+    would only hold memory.
     """
+    if len(ops) < 3:
+        return np.einsum(subscripts, *ops, optimize=True)
     path = _einsum_path(subscripts, tuple(op.shape for op in ops))
     return np.einsum(subscripts, *ops, optimize=path)
 
