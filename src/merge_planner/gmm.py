@@ -129,11 +129,8 @@ class GaussianMixture:
         if consts is None:
             a, s = sched.alpha[t], sched.sigma[t]
             noisy_vals = a * a * self._eig_vals + s * s
-            log_pi = np.array([np.log(self.pi[k]) for k in range(self.K)])
-            norm = np.array(
-                [self.d * _LOG_2PI + float(np.sum(np.log(v))) for v in noisy_vals]
-            )
-            consts = (a * self.mu, noisy_vals, log_pi, norm)
+            norm = self.d * _LOG_2PI + np.sum(np.log(noisy_vals), axis=1)
+            consts = (a * self.mu, noisy_vals, np.log(self.pi), norm)
             for arr in consts:
                 arr.setflags(write=False)
             self._gating_cache[(sched, t)] = consts
