@@ -20,9 +20,7 @@ from .linear_op import (
     contraction_certificate,
     critical_variance,
     diagonalize_covariance,
-    direct_merge,
     gradient_flow_trajectory,
-    merge,
     shrinkage,
     single_step_operator,
     surrogate_target,
@@ -31,7 +29,6 @@ from .linear_op import (
 from .strategy import (
     MergePlan,
     PlanLabel,
-    enumerate_plans,
     evaluate_plan,
     format_plan,
     parse_plan,

@@ -35,8 +35,6 @@ __all__ = [
     "contraction_certificate",
     "shrinkage",
     "gradient_flow_trajectory",
-    "merge",
-    "direct_merge",
     "surrogate_target",
     "w2_objective",
     "critical_variance",
@@ -155,8 +153,9 @@ def single_step_operator(sched: NoiseSchedule, data: DiagGaussian, t: int) -> Di
 def single_step_matrix(sched: NoiseSchedule, data: DiagGaussian) -> np.ndarray:
     """All single-step entries stacked as a ``(T, d)`` matrix; row ``t-1`` is step ``t``.
 
-    Shared by composites, direct merges and the interval DP so that every
-    code path reduces products in the same order (bit-identical results).
+    Shared by composites, plan evaluation, the interval DP, its brute-force
+    oracle and the reference merges in ``tests/plan_reference.py``, so that
+    every code path reduces products in the same order (bit-identical results).
     Computed on ``(T, 1)`` columns in the operation order of
     :func:`single_step_operator`, so row ``t-1`` equals its entries bit for bit.
     """
@@ -259,49 +258,6 @@ def gradient_flow_trajectory(
         raise ValueError("s_grid must be nonnegative")
     decay = np.exp(-2.0 * rate * s)
     return (1.0 - decay) * target + decay * init
-
-
-def merge(left: DiagOperator, right: DiagOperator, shrink: ShrinkageProfile) -> DiagOperator:
-    """Merge two contiguous blocks; gamma is taken at the END time of the merged block.
-
-    ``entries = (1-gamma_t2)*left*right + gamma_t2*right`` — the student
-    interpolates between the composition (its target) and the right block
-    (its initialization, the operator already ending at t2).
-    """
-    if left.d != right.d:
-        raise ValueError(f"dimension mismatch: {left.d} vs {right.d}")
-    t1, m = left.interval
-    m2, t2 = right.interval
-    if m2 != m + 1:
-        raise ValueError(
-            f"blocks are not contiguous: left covers ({t1},{m}), right covers ({m2},{t2})"
-        )
-    g = shrink.gamma_at(t2)
-    entries = (1.0 - g) * (left.entries * right.entries) + g * right.entries
-    return DiagOperator(entries=entries, interval=(t1, t2))
-
-
-def direct_merge(
-    sched: NoiseSchedule,
-    data: DiagGaussian,
-    shrink: ShrinkageProfile,
-    t1: int,
-    t2: int,
-) -> DiagOperator:
-    """One-shot merge of the raw single-step operators over ``[t1, t2]``.
-
-    ``(1-gamma_t2) * prod_t A_t + gamma_t2 * A_t2`` — the interpolation
-    anchor is the raw single-step operator at t2, not a previously merged
-    block, which is what makes one-shot plans inequivalent to nested merges.
-    """
-    _check_interval(sched, t1, t2)
-    if t1 == t2:
-        return single_step_operator(sched, data, t1)
-    single = single_step_matrix(sched, data)
-    g = shrink.gamma_at(t2)
-    prod = _interval_product(single, t1, t2)
-    entries = (1.0 - g) * prod + g * single[t2 - 1]
-    return DiagOperator(entries=entries, interval=(t1, t2))
 
 
 def surrogate_target(sched: NoiseSchedule, data: DiagGaussian) -> DiagOperator:

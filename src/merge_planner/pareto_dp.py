@@ -33,9 +33,7 @@ from .strategy import (
     MergeNode,
     MergePlan,
     OneShot,
-    enumerate_plans,
     format_plan,
-    plan_entries,
 )
 
 __all__ = [
@@ -50,7 +48,7 @@ __all__ = [
     "DEFAULT_MAX_FRONTIER",
 ]
 
-MAX_BRUTE_FORCE_T = 8
+MAX_BRUTE_FORCE_T = 11
 
 # default cap on one frontier: d=2 at T=64 peaks at ~1400 items, while d=4 at
 # T=16 can grow past 100 000 items for minutes
@@ -206,9 +204,13 @@ def pareto_dp(
     Fills ``S[t,t] = {A_t}``, then for lengths 2..T and every start time
     keeps the non-dominated candidates among the direct one-shot merge and
     every split merge of frontier items.  The returned operator minimizes
-    the squared Wasserstein objective against ``surrogate`` over ``S[1,T]``;
-    exact-objective ties are broken by the lexicographically smallest
-    serialized plan.  A frontier larger than ``max_frontier_size`` raises
+    the squared Wasserstein objective against ``surrogate`` over ``S[1,T]``.
+    Exact-objective ties go to the lexicographically smallest serialized plan
+    among the root frontier's survivors only.  An exact duplicate keeps its
+    first candidate, so at an equal objective the plan can differ from
+    :func:`brute_force_optimum`'s: at T = 2 the split merge duplicates the
+    one-shot merge, and the DP returns ``(1:2 oneshot)`` where the oracle
+    returns ``((1:1)(2:2))``.  A frontier larger than ``max_frontier_size`` raises
     :class:`FrontierCapExceeded`; ``None`` removes the cap.
     """
     T, d = sched.T, data.d
@@ -351,35 +353,59 @@ def brute_force_optimum(
     shrink: ShrinkageProfile,
     surrogate: DiagOperator,
 ) -> BruteForceResult:
-    """Exhaustive minimum over every enumerated plan shape.
+    """Exhaustive minimum over every plan shape.
 
-    Independent oracle for the DP: evaluates all plans directly and never
-    prunes.  Each plan is scored with :func:`plan_entries` over one
-    single-step matrix and the arithmetic of :func:`w2_objective`.  Ties are
-    broken by the lexicographically smallest serialized plan.  Guarded to
-    small T.
+    Independent oracle for the DP: it never prunes.  Each interval holds the
+    entries of all its plans as one array, built bottom-up in plan
+    enumeration order (the one-shot merge, then the splits by ascending
+    ``m``, left-major) with the arithmetic of :func:`pareto_dp` but without
+    its skyline, chunking or pointer remapping.  Each row keeps a
+    back-pointer ``(m, i, j)`` as in :func:`pareto_dp`.  Every root row is
+    scored with the arithmetic of :func:`w2_objective`, plans are built for
+    the tied roots only, and exact ties go to the lexicographically smallest
+    serialized plan over all plans.  Guarded to ``T <= MAX_BRUTE_FORCE_T``.
     """
-    T = sched.T
+    T, d = sched.T, data.d
     if T > MAX_BRUTE_FORCE_T:
         raise ValueError(f"brute force is limited to T <= {MAX_BRUTE_FORCE_T}, got {T}")
-    if surrogate.d != data.d or surrogate.interval != (1, T):
+    if surrogate.d != d or surrogate.interval != (1, T):
         raise ValueError("surrogate does not match data/schedule")
-    if shrink.T != T or shrink.d != data.d:
+    if shrink.T != T or shrink.d != d:
         raise ValueError("shrinkage profile does not match schedule/data")
     single = single_step_matrix(sched, data)
-    best_plan: MergePlan | None = None
-    best_entries: np.ndarray | None = None
-    best_obj = np.inf
-    for plan in enumerate_plans(T):
-        entries = plan_entries(plan, single, shrink.gamma)
-        diff = surrogate.entries - entries
-        obj = float(np.dot(diff, diff))
-        # plans are serialized only to break exact ties
-        if obj < best_obj or (obj == best_obj and format_plan(plan) < format_plan(best_plan)):
-            best_plan, best_entries, best_obj = plan, entries, obj
-    assert best_plan is not None and best_entries is not None
+
+    # entries[(t1, t2)]: every plan's entries; back[(t1, t2)] as in pareto_dp
+    entries: dict[tuple[int, int], np.ndarray] = {}
+    back: dict[tuple[int, int], np.ndarray] = {}
+    prods: dict[int, np.ndarray] = {}  # prods[t1]: product of single steps t1..t2
+    for t in range(1, T + 1):
+        entries[(t, t)] = single[t - 1 : t]
+        prods[t] = single[t - 1]
+    for length in range(2, T + 1):
+        for t1 in range(1, T - length + 2):
+            t2 = t1 + length - 1
+            g = shrink.gamma_at(t2)
+            one_minus_g = 1.0 - g
+            prods[t1] = prods[t1] * single[t2 - 1]
+            blocks = [(one_minus_g * prods[t1] + g * single[t2 - 1])[None, :]]
+            ptrs = [np.zeros((1, 3), dtype=np.intp)]
+            for m in range(t1, t2):
+                left, right = entries[(t1, m)], entries[(m + 1, t2)]
+                merged = one_minus_g * (left[:, None, :] * right[None, :, :]) + g * right
+                blocks.append(merged.reshape(-1, d))
+                i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
+                ptrs.append(np.column_stack([np.full_like(i, m), i, j]))
+            entries[(t1, t2)] = np.concatenate(blocks)
+            back[(t1, t2)] = np.concatenate(ptrs)
+
+    root = entries[(1, T)]
+    diffs = surrogate.entries - root
+    objectives = np.array([float(np.dot(diff, diff)) for diff in diffs])
+    best_obj = float(np.min(objectives))
+    plans = {int(k): _build_plan(back, 1, T, int(k)) for k in np.flatnonzero(objectives == best_obj)}
+    idx = min(plans, key=lambda k: format_plan(plans[k]))
     return BruteForceResult(
-        best=DiagOperator(entries=best_entries, interval=(1, T)),
-        plan=best_plan,
-        objective=float(best_obj),
+        best=DiagOperator(entries=root[idx], interval=(1, T)),
+        plan=plans[idx],
+        objective=best_obj,
     )

@@ -13,7 +13,6 @@ single-step and shrinkage matrices are built once per problem, not per node.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
@@ -42,15 +41,11 @@ __all__ = [
     "plan_label",
     "evaluate_plan",
     "plan_entries",
-    "enumerate_plans",
     "count_plans",
     "internal_nodes",
     "format_plan",
     "parse_plan",
-    "MAX_ENUMERATION_T",
 ]
-
-MAX_ENUMERATION_T = 12
 
 
 @dataclass(frozen=True)
@@ -200,10 +195,11 @@ def plan_entries(plan: MergePlan, single: np.ndarray, gamma: np.ndarray) -> np.n
 
     ``single`` and ``gamma`` are as from :func:`single_step_matrix` and
     ``shrinkage(...).gamma`` (row ``t-1`` holds step ``t``; ``d`` may be a
-    batch of independent coordinates).  The arithmetic is that of
-    ``single_step_operator``, ``direct_merge`` and ``merge``, so the result
-    equals their post-order evaluation bit for bit.  A leaf returns a view
-    of its row of ``single``.
+    batch of independent coordinates).  The arithmetic is that of the
+    object-per-node reference in ``tests/plan_reference.py``
+    (``single_step_operator``, ``direct_merge`` and ``merge``), so the result
+    equals its post-order evaluation bit for bit.  A leaf returns a view of
+    its row of ``single``.
     """
     if isinstance(plan, Leaf):
         return single[plan.t - 1]
@@ -219,42 +215,10 @@ def plan_entries(plan: MergePlan, single: np.ndarray, gamma: np.ndarray) -> np.n
     raise TypeError(f"malformed plan node: {plan!r}")
 
 
-def enumerate_plans(T: int) -> Iterator[MergePlan]:
-    """Yield every distinct plan shape over ``(1, T)``.
-
-    For each interval either a one-shot node or, for every split point, each
-    pair of recursively enumerated children.  The count obeys
-    ``C(1) = 1``, ``C(L) = 1 + sum_m C(m) * C(L - m)``; guarded to T <= 12
-    against combinatorial blowup.
-    """
+def count_plans(T: int) -> int:
+    """Number of distinct plan shapes: ``C(1) = 1``, ``C(L) = 1 + sum_m C(m) * C(L - m)``."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if T > MAX_ENUMERATION_T:
-        raise ValueError(
-            f"plan enumeration is limited to T <= {MAX_ENUMERATION_T}, got {T}"
-        )
-    yield from _enumerated_interval(1, T)
-
-
-@functools.lru_cache(maxsize=None)
-def _enumerated_interval(t1: int, t2: int) -> tuple[MergePlan, ...]:
-    # memoized: sub-interval plan lists are shared between enclosing plans
-    return tuple(_generate_interval(t1, t2))
-
-
-def _generate_interval(t1: int, t2: int) -> Iterator[MergePlan]:
-    if t1 == t2:
-        yield Leaf(t1)
-        return
-    yield OneShot(t1, t2)
-    for m in range(t1, t2):
-        for left in _enumerated_interval(t1, m):
-            for right in _enumerated_interval(m + 1, t2):
-                yield MergeNode(left, right)
-
-
-def count_plans(T: int) -> int:
-    """Number of distinct plan shapes via the recurrence (no enumeration)."""
     counts = [0, 1]
     for length in range(2, T + 1):
         counts.append(

@@ -1,0 +1,145 @@
+"""Test-side references: plan-object enumeration, object merges and the object-loop oracle.
+
+The library evaluates plans on arrays (``plan_entries``) and finds the
+brute-force optimum by one bottom-up array enumeration.  The code here is the
+object-per-node form those replaced, kept as the bit-identity references the
+tests compare against.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Iterator
+
+import numpy as np
+
+from merge_planner.linear_op import (
+    DiagGaussian,
+    DiagOperator,
+    ShrinkageProfile,
+    _check_interval,
+    _interval_product,
+    single_step_matrix,
+    single_step_operator,
+)
+from merge_planner.pareto_dp import BruteForceResult
+from merge_planner.schedule import NoiseSchedule
+from merge_planner.strategy import (
+    Leaf,
+    MergeNode,
+    MergePlan,
+    OneShot,
+    format_plan,
+    plan_entries,
+)
+
+MAX_ENUMERATION_T = 12
+
+
+def merge(left: DiagOperator, right: DiagOperator, shrink: ShrinkageProfile) -> DiagOperator:
+    """Merge two contiguous blocks; gamma is taken at the END time of the merged block.
+
+    ``entries = (1-gamma_t2)*left*right + gamma_t2*right`` — the student
+    interpolates between the composition (its target) and the right block
+    (its initialization, the operator already ending at t2).
+    """
+    if left.d != right.d:
+        raise ValueError(f"dimension mismatch: {left.d} vs {right.d}")
+    t1, m = left.interval
+    m2, t2 = right.interval
+    if m2 != m + 1:
+        raise ValueError(
+            f"blocks are not contiguous: left covers ({t1},{m}), right covers ({m2},{t2})"
+        )
+    g = shrink.gamma_at(t2)
+    entries = (1.0 - g) * (left.entries * right.entries) + g * right.entries
+    return DiagOperator(entries=entries, interval=(t1, t2))
+
+
+def direct_merge(
+    sched: NoiseSchedule,
+    data: DiagGaussian,
+    shrink: ShrinkageProfile,
+    t1: int,
+    t2: int,
+) -> DiagOperator:
+    """One-shot merge of the raw single-step operators over ``[t1, t2]``.
+
+    ``(1-gamma_t2) * prod_t A_t + gamma_t2 * A_t2`` — the interpolation
+    anchor is the raw single-step operator at t2, not a previously merged
+    block, which is what makes one-shot plans inequivalent to nested merges.
+    """
+    _check_interval(sched, t1, t2)
+    if t1 == t2:
+        return single_step_operator(sched, data, t1)
+    single = single_step_matrix(sched, data)
+    g = shrink.gamma_at(t2)
+    prod = _interval_product(single, t1, t2)
+    entries = (1.0 - g) * prod + g * single[t2 - 1]
+    return DiagOperator(entries=entries, interval=(t1, t2))
+
+
+def enumerate_plans(T: int) -> Iterator[MergePlan]:
+    """Yield every distinct plan shape over ``(1, T)``.
+
+    For each interval either a one-shot node or, for every split point, each
+    pair of recursively enumerated children.  The count obeys
+    ``C(1) = 1``, ``C(L) = 1 + sum_m C(m) * C(L - m)``; guarded to T <= 12
+    against combinatorial blowup.
+    """
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if T > MAX_ENUMERATION_T:
+        raise ValueError(
+            f"plan enumeration is limited to T <= {MAX_ENUMERATION_T}, got {T}"
+        )
+    yield from _enumerated_interval(1, T)
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_interval(t1: int, t2: int) -> tuple[MergePlan, ...]:
+    # memoized: sub-interval plan lists are shared between enclosing plans
+    return tuple(_generate_interval(t1, t2))
+
+
+def _generate_interval(t1: int, t2: int) -> Iterator[MergePlan]:
+    if t1 == t2:
+        yield Leaf(t1)
+        return
+    yield OneShot(t1, t2)
+    for m in range(t1, t2):
+        for left in _enumerated_interval(t1, m):
+            for right in _enumerated_interval(m + 1, t2):
+                yield MergeNode(left, right)
+
+
+def object_brute_force_optimum(
+    sched: NoiseSchedule,
+    data: DiagGaussian,
+    shrink: ShrinkageProfile,
+    surrogate: DiagOperator,
+) -> BruteForceResult:
+    """``brute_force_optimum`` as one loop over the plan objects of :func:`enumerate_plans`.
+
+    Each plan is scored with :func:`plan_entries` over one single-step
+    matrix and the arithmetic of ``w2_objective``; ties go to the
+    lexicographically smallest serialized plan.
+    """
+    T = sched.T
+    single = single_step_matrix(sched, data)
+    best_plan: MergePlan | None = None
+    best_entries: np.ndarray | None = None
+    best_obj = np.inf
+    for plan in enumerate_plans(T):
+        entries = plan_entries(plan, single, shrink.gamma)
+        diff = surrogate.entries - entries
+        obj = float(np.dot(diff, diff))
+        # plans are serialized only to break exact ties
+        if obj < best_obj or (obj == best_obj and format_plan(plan) < format_plan(best_plan)):
+            best_plan, best_entries, best_obj = plan, entries, obj
+    assert best_plan is not None and best_entries is not None
+    return BruteForceResult(
+        best=DiagOperator(entries=best_entries, interval=(1, T)),
+        plan=best_plan,
+        objective=float(best_obj),
+    )

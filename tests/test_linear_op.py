@@ -14,9 +14,7 @@ from merge_planner.linear_op import (
     composite_operator,
     contraction_certificate,
     diagonalize_covariance,
-    direct_merge,
     gradient_flow_trajectory,
-    merge,
     read_operator_csv,
     read_shrinkage_csv,
     shrinkage,
@@ -30,6 +28,8 @@ from merge_planner.linear_op import (
 )
 from merge_planner.schedule import NoiseSchedule, make_cosine_schedule
 from merge_planner.verify import integrate_gradient_flow_rk4
+
+from plan_reference import direct_merge, merge
 
 
 @pytest.fixture(scope="module")

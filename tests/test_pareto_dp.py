@@ -453,6 +453,22 @@ class TestBruteForce:
         # ties broken by the lexicographically smallest serialization
         assert format_plan(bf.plan) == "((1:1)(2:2))"
 
+    @pytest.mark.parametrize("T, lam", [(2, [0.5]), (6, [1.08, 0.95, 1.3]), (8, [1.08, 0.95, 1.3])])
+    def test_dp_breaks_ties_among_root_survivors_only(self, T, lam):
+        # the split ((1:1)(2:2)) duplicates (1:2 oneshot) exactly, so the DP
+        # keeps the one-shot merge, which serializes after the split
+        sched = make_cosine_schedule(T)
+        data = DiagGaussian(lam)
+        shrink = shrinkage(sched, data, 3.2)
+        surr = surrogate_target(sched, data)
+        dp = pareto_dp(sched, data, shrink, surr)
+        bf = brute_force_optimum(sched, data, shrink, surr)
+        assert dp.objective == bf.objective
+        assert dp.best.entries.tobytes() == bf.best.entries.tobytes()
+        bf_text = format_plan(bf.plan)
+        assert bf_text.count("((1:1)(2:2))") == 1
+        assert format_plan(dp.plan) == bf_text.replace("((1:1)(2:2))", "(1:2 oneshot)")
+
     def test_mixed_two_dim_matches_dp(self):
         sched = make_cosine_schedule(4)
         data = DiagGaussian([1.05, 0.95])

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from merge_planner.linear_op import (
     DiagGaussian,
     ShrinkageProfile,
-    direct_merge,
-    merge,
     shrinkage,
     single_step_matrix,
     single_step_operator,
@@ -22,7 +20,6 @@ from merge_planner.strategy import (
     OneShot,
     PlanLabel,
     count_plans,
-    enumerate_plans,
     evaluate_plan,
     format_plan,
     internal_nodes,
@@ -34,6 +31,8 @@ from merge_planner.strategy import (
     plan_sequential_consistency,
     plan_vanilla,
 )
+
+from plan_reference import direct_merge, enumerate_plans, merge, object_brute_force_optimum
 
 
 class TestCanonicalPlans:
@@ -172,9 +171,9 @@ def _reference_evaluate(plan, sched, data, shrink):
 
 
 @st.composite
-def _plan_problems(draw):
-    """A cosine or random valid schedule with T <= 6, d <= 3 variances and s_train."""
-    T = draw(st.integers(1, 6))
+def _plan_problems(draw, max_T=6):
+    """A cosine or random valid schedule with T <= max_T, d <= 3 variances and s_train."""
+    T = draw(st.integers(1, max_T))
     if draw(st.booleans()):
         sched = make_cosine_schedule(T)
     else:
@@ -300,6 +299,11 @@ class TestEnumeratePlans:
         with pytest.raises(ValueError, match="limited"):
             next(enumerate_plans(13))
 
+    def test_count_plans_rejects_t_below_one(self):
+        for T in (0, -1, -3):
+            with pytest.raises(ValueError, match=f"T must be >= 1, got {T}"):
+                count_plans(T)
+
 
 @st.composite
 def _plans(draw, t1=None, t2=None):
@@ -392,3 +396,22 @@ class TestScalarPhaseTransition:
         )
         dp = pareto_dp(sched32, data, shrink32, surr32, keep_plans=False)
         assert abs(vanilla32 - dp.objective) <= 1e-12
+
+
+class TestArrayOracle:
+    """``brute_force_optimum`` against the object loop over ``enumerate_plans`` it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_plan_problems(max_T=7))
+    @example((make_cosine_schedule(1), DiagGaussian([0.5]), 6.4))
+    @example((make_cosine_schedule(2), DiagGaussian([0.5]), 6.4))
+    @example((make_cosine_schedule(2), DiagGaussian([1.08, 0.95, 1.3]), 0.0))
+    def test_matches_object_loop_bit_for_bit(self, problem):
+        sched, data, s_train = problem
+        shrink = shrinkage(sched, data, s_train)
+        surr = surrogate_target(sched, data)
+        bf = brute_force_optimum(sched, data, shrink, surr)
+        ref = object_brute_force_optimum(sched, data, shrink, surr)
+        assert np.float64(bf.objective).tobytes() == np.float64(ref.objective).tobytes()
+        assert bf.best.entries.tobytes() == ref.best.entries.tobytes()
+        assert format_plan(bf.plan) == format_plan(ref.plan)
