@@ -7,7 +7,9 @@ the frontier order, the chosen plan or a single output byte fails here.  The
 three-coordinate cases exercise the d = 3 skyline path; the T = 12 one,
 frozen at the commit before that path got its own staircase filter, prunes
 candidate sets of up to 16 633 rows (more than one chunk) into frontiers of
-up to 6 528 items.
+up to 6 528 items.  The four-coordinate case, frozen at the commit before the
+sort-filter and staircase paths gave way to one divide-and-conquer skyline,
+grows frontiers of up to 3 174 items, so that recursion splits several times.
 
 The sweep files were written by ``run_sweep`` and ``run_ablation`` at the
 commit before the sweep became one batched pass over the lambda grid, when
@@ -43,6 +45,7 @@ CASES = {
     "lam_1.08_0.95_T16": ((1.08, 0.95), 16),
     "lam_1.08_0.95_3_T8": ((1.08, 0.95, 3.0), 8),
     "lam_1.08_0.95_1.3_T12": ((1.08, 0.95, 1.3), 12),
+    "lam_2_0.5_1.1_0.9_T11": ((2.0, 0.5, 1.1, 0.9), 11),
 }
 # the default grid is 50 log-spaced lambdas in [0.2, 5] at T = 32, s = 6.4
 SWEEP_CASES = {
