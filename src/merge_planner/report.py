@@ -293,13 +293,12 @@ def run_plan(cfg: ExperimentConfig) -> PlanResult:
     data = DiagGaussian(np.asarray(lam))
     shrink = shrinkage(sched, data, cfg.s_train)
     surr = surrogate_target(sched, data)
-    result = pareto_dp(sched, data, shrink, surr, keep_plans=True)
+    result = pareto_dp(sched, data, shrink, surr)
 
     objectives = _strategy_objectives(sched, data, shrink, surr)
     objectives["dp"] = result.objective
 
     out = cfg.out_dir
-    assert result.plan is not None
     plan_path = _write(out / "plan.txt", format_plan(result.plan) + "\n")
     svg_path = _write(out / "plan.svg", render_arc_diagram(result.plan, sched.T))
     frontier_lines = [_FRONTIER_HEADER]

@@ -158,7 +158,7 @@ def criterion_dp_optimality() -> CriterionResult:
                         data = DiagGaussian(lam)
                         shrink = shrinkage(sched, data, s)
                         surr = surrogate_target(sched, data)
-                        dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
+                        dp = pareto_dp(sched, data, shrink, surr)
                         bf = brute_force_optimum(sched, data, shrink, surr)
                         worst = max(worst, abs(dp.objective - bf.objective))
                         cases[T] += 1
@@ -179,7 +179,7 @@ def criterion_low_variance_phase() -> CriterionResult:
             data = DiagGaussian([lam])
             shrink = shrinkage(sched, data, 6.4)
             surr = surrogate_target(sched, data)
-            dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
+            dp = pareto_dp(sched, data, shrink, surr)
             gap = w2_objective(evaluate_plan(boot, sched, data, shrink), surr) - dp.objective
             worst = max(worst, abs(gap))
         return worst <= 1e-12, f"max boot gap = {worst:.2e} over lam in {{0.2, 0.5, 1.0}}"
@@ -194,7 +194,7 @@ def criterion_high_variance_phase() -> CriterionResult:
         data = DiagGaussian([lam])
         shrink = shrinkage(sched, data, 6.4)
         surr = surrogate_target(sched, data)
-        dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
+        dp = pareto_dp(sched, data, shrink, surr)
         vanilla_obj = w2_objective(
             evaluate_plan(plan_vanilla(32), sched, data, shrink), surr
         )

@@ -1,9 +1,11 @@
-"""Test-side references: plan-object enumeration, object merges and the object-loop oracle.
+"""Test-side references: plan-object enumeration, object merges, the object-loop oracle
+and the sort-filter skyline.
 
-The library evaluates plans on arrays (``plan_entries``) and finds the
-brute-force optimum by one bottom-up array enumeration.  The code here is the
-object-per-node form those replaced, kept as the bit-identity references the
-tests compare against.
+The library evaluates plans on arrays (``plan_entries``), finds the
+brute-force optimum by one bottom-up array enumeration and prunes DP cells
+with one divide-and-conquer skyline.  The code here is the object-per-node
+form and the block filter those replaced, kept as the bit-identity
+references the tests compare against.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from merge_planner.strategy import (
 )
 
 MAX_ENUMERATION_T = 12
+_SFS_BLOCK = 256  # rows filtered together in the sort-filter skyline
 
 
 def merge(left: DiagOperator, right: DiagOperator, shrink: ShrinkageProfile) -> DiagOperator:
@@ -143,3 +146,33 @@ def object_brute_force_optimum(
         plan=best_plan,
         objective=float(best_obj),
     )
+
+
+def _sort_filter_skyline(signed: np.ndarray) -> np.ndarray:
+    """The library's ``_skyline`` for any d >= 2, by sort-filter skyline.
+
+    After a presort by (-sum, -entries lexicographically, index) no row is
+    weakly dominated by a later one (float addition is monotone), so each
+    block drops the rows weakly dominated by a survivor or by an earlier row
+    of the block.
+    """
+    n, d = signed.shape
+    order = np.lexsort(np.vstack([-signed[:, ::-1].T, -signed.sum(axis=1)]))
+    cols = np.ascontiguousarray(signed[order].T)  # one contiguous row per coordinate
+    survivors = np.empty_like(cols)
+    n_kept = 0
+    kept = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _SFS_BLOCK):
+        block = cols[:, lo : lo + _SFS_BLOCK]
+        # [r, q]: survivor q (resp. earlier block row q) weakly dominates block row r
+        by_survivor = block[0, :, None] <= survivors[0, None, :n_kept]
+        within = np.tril(block[0, :, None] <= block[0, None, :], k=-1)
+        for c in range(1, d):
+            by_survivor &= block[c, :, None] <= survivors[c, None, :n_kept]
+            within &= block[c, :, None] <= block[c, None, :]
+        keep = ~(by_survivor.any(axis=1) | within.any(axis=1))
+        kept[lo : lo + _SFS_BLOCK] = keep
+        n_new = int(np.count_nonzero(keep))
+        survivors[:, n_kept : n_kept + n_new] = block[:, keep]
+        n_kept += n_new
+    return np.sort(order[kept])

@@ -24,7 +24,7 @@ def test_plan_subcommand(tmp_path, capsys):
     shrink = shrinkage(sched, data, 6.4)
     surr = surrogate_target(sched, data)
     replayed = w2_objective(evaluate_plan(plan, sched, data, shrink), surr)
-    dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
+    dp = pareto_dp(sched, data, shrink, surr)
     assert abs(replayed - dp.objective) <= 1e-15
 
 

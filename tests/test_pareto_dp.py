@@ -33,6 +33,7 @@ from merge_planner.strategy import (
     plan_sequential_consistency,
     plan_vanilla,
 )
+from plan_reference import _sort_filter_skyline
 
 
 dp_module = importlib.import_module("merge_planner.pareto_dp")
@@ -57,7 +58,7 @@ def _skyline_oracle(signed):
 @st.composite
 def signed_rows(draw):
     """(n, d) arrays from a small value pool, so ties, duplicates and -0.0 are common."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     n = draw(st.integers(0, 40))
     pool = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.5, 1.0, 2.0])
     fine = st.floats(-2.0, 2.0, allow_nan=False)
@@ -222,36 +223,46 @@ class TestSkyline:
     def test_matches_quadratic_oracle(self, signed):
         expected = _skyline_oracle(signed)
         assert _skyline(signed).tolist() == expected
-        # several sort-filter blocks per call, so survivors carry across blocks
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dp_module, "_SFS_BLOCK", 3)
-            assert _skyline(signed).tolist() == expected
+        # tiny leaves, so both halves of the recursion and the median splits run
+        for leaf in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dp_module, "_LEAF_ROWS", leaf)
+                assert _skyline(signed).tolist() == expected
 
     def test_three_dim_last_block_of_one_row(self, monkeypatch):
-        # sorted by x descending; with 3-row blocks the last row is a block of its own
+        # sorted by x descending; with 3-row leaves the last row is in the second half
         signed = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert _skyline(signed).tolist() == [0, 3]
-        monkeypatch.setattr(dp_module, "_SFS_BLOCK", 3)
+        monkeypatch.setattr(dp_module, "_LEAF_ROWS", 3)
         assert _skyline(signed).tolist() == [0, 3]
 
     @pytest.mark.parametrize("block", [None, 3])
-    @pytest.mark.parametrize("seed, n, step", [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)])
-    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, block, seed, n, step):
-        """The d = 3 path against the d >= 4 sort-filter, at sizes the O(n^2) oracle cannot reach.
+    @pytest.mark.parametrize(
+        "seed, n, step, d",
+        # the d = 3 cases keep the ids they had before d became a parameter
+        [
+            pytest.param(*case, d, id="-".join(map(str, case)) + ("" if d == 3 else f"-d{d}"))
+            for d in (3, 4, 5)
+            for case in [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
+        ],
+    )
+    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, block, seed, n, step, d):
+        """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
 
-        Rows near the plane x + y + z = 0 give large skylines; rounding them to
-        a grid gives ties, and some rows are exact copies or carry -0.0.
+        Rows near the hyperplane where the coordinates sum to 0 give large
+        skylines; rounding them to a grid gives ties, and some rows are exact
+        copies or carry -0.0.
         """
         rng = np.random.default_rng(seed)
-        signed = rng.normal(size=(n, 3))
+        signed = rng.normal(size=(n, d))
         signed = np.round((signed - signed.mean(axis=1, keepdims=True)) / step) * step
         copies = rng.random(n) < 0.1
         signed[copies] = signed[rng.integers(0, n, np.count_nonzero(copies))]
         signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
-        expected = dp_module._sort_filter_skyline(signed).tolist()
+        expected = _sort_filter_skyline(signed).tolist()
         if block is not None:
-            monkeypatch.setattr(dp_module, "_SFS_BLOCK", block)
-        assert n // dp_module._SFS_BLOCK >= 2  # survivors carry across blocks
+            monkeypatch.setattr(dp_module, "_LEAF_ROWS", block)
+        assert n // dp_module._LEAF_ROWS >= 2  # the recursion splits
         assert _skyline(signed).tolist() == expected
 
 
@@ -287,8 +298,7 @@ class TestParetoDp:
         data = DiagGaussian([1.05, 0.95])
         shrink = shrinkage(sched, data, 6.4)
         surr = surrogate_target(sched, data)
-        dp = pareto_dp(sched, data, shrink, surr, keep_plans=True)
-        assert dp.plan is not None
+        dp = pareto_dp(sched, data, shrink, surr)
         replayed = evaluate_plan(dp.plan, sched, data, shrink)
         assert w2_objective(replayed, surr) == pytest.approx(dp.objective, abs=1e-15)
 
@@ -315,7 +325,7 @@ class TestParetoDp:
             data = DiagGaussian([lam])
             shrink = shrinkage(sched, data, 6.4)
             surr = surrogate_target(sched, data)
-            dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
+            dp = pareto_dp(sched, data, shrink, surr)
             for plan in (
                 plan_vanilla(16),
                 plan_progressive(16),
@@ -324,15 +334,6 @@ class TestParetoDp:
             ):
                 obj = w2_objective(evaluate_plan(plan, sched, data, shrink), surr)
                 assert dp.objective <= obj + 1e-12
-
-    def test_keep_plans_false_drops_plan(self):
-        sched = make_cosine_schedule(4)
-        data = DiagGaussian([0.5])
-        shrink = shrinkage(sched, data, 6.4)
-        surr = surrogate_target(sched, data)
-        dp = pareto_dp(sched, data, shrink, surr, keep_plans=False)
-        assert dp.plan is None
-        assert dp.best.interval == (1, 4)
 
     def test_frontier_cap_aborts(self):
         sched = make_cosine_schedule(8)
@@ -363,9 +364,9 @@ class TestParetoDp:
             for f in ([1.0, 1.0, 1.0], [0.5, 1.5, 0.9], [2.0, 0.3, 1.1], [0.2, 0.2, 3.0])
         ]
         whole = [pareto_dp(sched, data, shrink, t) for t in targets]
-        # one skyline call per split and tiny sort-filter blocks
+        # one skyline call per split and tiny skyline leaves
         monkeypatch.setattr(dp_module, "_CHUNK_ROWS", 1)
-        monkeypatch.setattr(dp_module, "_SFS_BLOCK", 5)
+        monkeypatch.setattr(dp_module, "_LEAF_ROWS", 5)
         for target, ref in zip(targets, whole):
             chunked = pareto_dp(sched, data, shrink, target)
             assert chunked.frontier_sizes == ref.frontier_sizes
@@ -400,8 +401,7 @@ class TestParetoDp:
         for k, lam in enumerate(data.lam):
             one = DiagGaussian([lam])
             dp = pareto_dp(
-                sched, one, shrinkage(sched, one, s_train), surrogate_target(sched, one),
-                keep_plans=False,
+                sched, one, shrinkage(sched, one, s_train), surrogate_target(sched, one)
             )
             assert roots[k : k + 1].tobytes() == dp.best.entries.tobytes()
             diff = surr[k] - roots[k]

@@ -374,7 +374,7 @@ class TestScalarPhaseTransition:
         boot32 = w2_objective(
             evaluate_plan(plan_sequential_boot(32), sched32, data, shrink32), surr32
         )
-        dp = pareto_dp(sched32, data, shrink32, surr32, keep_plans=False)
+        dp = pareto_dp(sched32, data, shrink32, surr32)
         assert abs(boot32 - dp.objective) <= 1e-12
 
     def test_vanilla_optimal_high_variance(self):
@@ -394,7 +394,7 @@ class TestScalarPhaseTransition:
         vanilla32 = w2_objective(
             evaluate_plan(plan_vanilla(32), sched32, data, shrink32), surr32
         )
-        dp = pareto_dp(sched32, data, shrink32, surr32, keep_plans=False)
+        dp = pareto_dp(sched32, data, shrink32, surr32)
         assert abs(vanilla32 - dp.objective) <= 1e-12
 
 
@@ -406,6 +406,7 @@ class TestArrayOracle:
     @example((make_cosine_schedule(1), DiagGaussian([0.5]), 6.4))
     @example((make_cosine_schedule(2), DiagGaussian([0.5]), 6.4))
     @example((make_cosine_schedule(2), DiagGaussian([1.08, 0.95, 1.3]), 0.0))
+    @example((make_cosine_schedule(7), DiagGaussian([0.5]), 0.0))  # s = 0: every plan ties
     def test_matches_object_loop_bit_for_bit(self, problem):
         sched, data, s_train = problem
         shrink = shrinkage(sched, data, s_train)
