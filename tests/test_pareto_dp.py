@@ -239,7 +239,7 @@ class TestSkyline:
     @pytest.mark.parametrize("block", [None, 3])
     @pytest.mark.parametrize(
         "seed, n, step, d",
-        # the d = 3 cases keep the ids they had before d became a parameter
+        # only d > 3 adds a suffix to the id, so the d = 3 ids stay stable
         [
             pytest.param(*case, d, id="-".join(map(str, case)) + ("" if d == 3 else f"-d{d}"))
             for d in (3, 4, 5)
