@@ -10,9 +10,12 @@ least-squares fit yields both the student and a certified upper bound on
 its distillation loss, split into an alignment (bias) part and an
 irreducible within-cluster variance part.
 
-Every affine mixture (a single step, an expansion or a student) stores its
-experts as an ``A`` stack ``(C, d, d)`` and a ``b`` stack ``(C, d)``, with no
-per-expert objects: expert ``k`` is ``z -> op.A[k] z + op.b[k]``.
+A single step, an expansion and a student are one type, ``MoeOperator``:
+experts stored as an ``A`` stack ``(C, d, d)`` and a ``b`` stack ``(C, d)``
+(expert ``k`` is ``z -> op.A[k] z + op.b[k]``, with no per-expert objects)
+and a gating.  A single step is gated by ``PosteriorGating``; an expansion
+and a student are gated by ``PathGating`` along the chain they run, a
+student with its cluster ``membership``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ __all__ = [
     "GaussianMixture",
     "PosteriorGating",
     "PathGating",
-    "AggregatedGating",
     "MoeOperator",
-    "CompositionExpansion",
     "NoisySampler",
     "McEstimate",
     "FitResult",
@@ -324,107 +325,27 @@ class PosteriorGating:
         return posterior_weights(self.gmm, self.sched, self.t, z2)
 
 
-class _AffineMixture:
-    """Shared evaluation of ``z -> sum_k w_k(z) (A_k z + b_k)``.
-
-    The experts are stored as two stacks, ``A`` of shape ``(C, d, d)`` and
-    ``b`` of shape ``(C, d)``: expert ``k`` is ``z -> A[k] z + b[k]``.  They
-    are copied, checked and made read-only once, at construction.
-
-    ``weights_apply`` computes the gating once and reuses it for the output,
-    which keeps nested operators (students gated by other students) linear
-    in chain depth instead of exponential.  ``apply_along_chain`` also
-    returns the points of the chain a path gating runs through.
-
-    Subclasses are declared ``eq=False``: operators compare and hash by
-    identity, since array fields have no single truth value.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    gating: object
-
-    def _init_stacks(self) -> None:
-        A = np.array(self.A, dtype=np.float64, order="C")
-        b = np.array(self.b, dtype=np.float64, order="C")
-        if A.ndim != 3 or A.shape[1] != A.shape[2]:
-            raise ValueError(f"A must be a (C, d, d) stack of square matrices, got shape {A.shape}")
-        if b.shape != A.shape[:2]:
-            raise ValueError(f"b must have shape {A.shape[:2]} to match A, got {b.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("operator must have at least one expert")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("expert parameters must be finite")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n_experts(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[1]
-
-    def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        return _einsum("nk,kij,nj->ni", w, self.A, z2) + w @ self.b
-
-    def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = self.gating.weights(z2)
-        return w, self._mix(w, z2)
-
-    def apply_along_chain(self, z2: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Output and the chain's trajectory, gating each operator of the chain once.
-
-        For an operator gated by a ``PathGating`` (or an ``AggregatedGating``
-        over one): ``out`` has the bits of ``apply(z2)`` and ``points[j]``
-        those of ``apply_chain(chain[: j + 1], z2)``.
-        """
-        path, membership = _path_gating(self)
-        if path is None:
-            raise ValueError("operator's gating runs no chain of operators")
-        stages, points = path.trajectory(z2)
-        w = _path_product(stages)
-        if membership is not None:
-            w = w @ membership  # as AggregatedGating.weights
-        return self._mix(w, z2), points
-
-    def apply(self, z) -> np.ndarray:
-        z2, single = _as_batch(z)
-        _, out = self.weights_apply(z2)
-        return out[0] if single else out
-
-
 @dataclass(frozen=True, eq=False)
-class MoeOperator(_AffineMixture):
-    """K-expert affine mixture-of-experts operator covering ``interval`` steps."""
-
-    A: np.ndarray
-    b: np.ndarray
-    gating: object
-    interval: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        self._init_stacks()
-        t1, t2 = self.interval
-        if not (1 <= t1 <= t2):
-            raise ValueError(f"invalid interval {self.interval}")
-        object.__setattr__(self, "interval", (int(t1), int(t2)))
-
-
-@dataclass(frozen=True)
 class PathGating:
     """Weights of an expanded composition: products of stagewise gatings.
 
     The gating of stage j is evaluated at the output of the j-1 preceding
     FULL operators (not the selected expert path), lazily per batch.
     Component order is lexicographic in the stage index tuples with the
-    first applied stage most significant.
+    first applied stage most significant.  A distilled student's gating
+    sums them by cluster, ``W_k(z) = sum_{c in S_k} w_c(z)``, through its
+    ``membership``, a ``(C, K)`` 0/1 matrix.  Compares and hashes by
+    identity.
     """
 
     ops: tuple
+    membership: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.membership is not None:
+            m = np.asarray(self.membership, dtype=np.float64).copy()
+            m.setflags(write=False)
+            object.__setattr__(self, "membership", m)
 
     def stage_weights(self, z2: np.ndarray) -> list[np.ndarray]:
         """Per-stage gating weights along the trajectory, one ``(n, K_j)`` array per stage."""
@@ -447,74 +368,94 @@ class PathGating:
             stages.append(op.gating.weights(point))
         return stages, points
 
+    def combine(self, stages: Sequence[np.ndarray]) -> np.ndarray:
+        """The gating weights from the stage weights.
+
+        Their outer products, first stage most significant, then summed by
+        cluster when a ``membership`` is set.
+        """
+        w = stages[0]
+        for stage_w in stages[1:]:
+            w = (w[:, :, None] * stage_w[:, None, :]).reshape(w.shape[0], -1)
+        return w if self.membership is None else w @ self.membership
+
     def weights(self, z2: np.ndarray) -> np.ndarray:
-        return _path_product(self.stage_weights(z2))
-
-
-def _path_product(stages: Sequence[np.ndarray]) -> np.ndarray:
-    """Expansion weights from stage weights: outer products, first stage most significant."""
-    w = stages[0]
-    for stage_w in stages[1:]:
-        w = (w[:, :, None] * stage_w[:, None, :]).reshape(w.shape[0], -1)
-    return w
+        return self.combine(self.stage_weights(z2))
 
 
 @dataclass(frozen=True, eq=False)
-class AggregatedGating:
-    """Cluster-summed gating: ``W_k(z) = sum_{c in S_k} w_c(z)``; compares by identity."""
+class MoeOperator:
+    """Affine mixture of experts ``z -> sum_k w_k(z) (A_k z + b_k)`` covering ``interval`` steps.
 
-    base: object
-    membership: np.ndarray  # (C, K) 0/1 matrix
+    The experts are stored as two stacks, ``A`` of shape ``(C, d, d)`` and
+    ``b`` of shape ``(C, d)``: expert ``k`` is ``z -> A[k] z + b[k]``.  They
+    are copied, checked and made read-only once, at construction.  A single
+    step is gated by a ``PosteriorGating``; an expansion and a student by a
+    ``PathGating``.
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.membership, dtype=np.float64).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "membership", m)
-
-    def weights(self, z2: np.ndarray) -> np.ndarray:
-        return self.base.weights(z2) @ self.membership
-
-
-def _path_gating(op) -> tuple[PathGating | None, np.ndarray | None]:
-    """The ``PathGating`` an operator is gated by, directly or under an ``AggregatedGating``.
-
-    Returns ``(path, membership)``; ``membership`` is None for direct path
-    gating, and ``path`` is None when the gating runs no chain.
-    """
-    gating = getattr(op, "gating", None)
-    membership = None
-    if isinstance(gating, AggregatedGating):
-        gating, membership = gating.base, gating.membership
-    if not isinstance(gating, PathGating):
-        return None, None
-    return gating, membership
-
-
-@dataclass(frozen=True, eq=False)
-class CompositionExpansion(_AffineMixture):
-    """The K^k-component expansion of a k-step composition.
-
-    Component ``c`` is the expert index tuple ``(i_1, ..., i_k)`` at
-    position ``c`` in lexicographic order, the first applied stage most
-    significant (as ``itertools.product``); ``A[c]`` and ``b[c]`` are the
-    end-to-end affine map of applying expert ``i_1`` of the first stage,
-    then ``i_2`` of the second, and so on.  ``gating`` multiplies the
-    stagewise posterior weights along the partial trajectory, in the same
-    order.  Evaluating the expansion at any z must agree with applying the
-    source operators sequentially.
+    ``weights_apply`` computes the gating once and reuses it for the output,
+    which keeps nested operators (students gated by other students) linear
+    in chain depth instead of exponential.  ``apply_along_chain`` also
+    returns the points of the chain a path gating runs through.  Compares
+    and hashes by identity, since array fields have no single truth value.
     """
 
     A: np.ndarray
     b: np.ndarray
-    gating: PathGating
+    gating: PosteriorGating | PathGating
     interval: tuple[int, int]
 
     def __post_init__(self) -> None:
-        self._init_stacks()
+        A = np.array(self.A, dtype=np.float64, order="C")
+        b = np.array(self.b, dtype=np.float64, order="C")
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise ValueError(f"A must be a (C, d, d) stack of square matrices, got shape {A.shape}")
+        if b.shape != A.shape[:2]:
+            raise ValueError(f"b must have shape {A.shape[:2]} to match A, got {b.shape}")
+        if A.shape[0] < 1:
+            raise ValueError("operator must have at least one expert")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("expert parameters must be finite")
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+        t1, t2 = self.interval
+        if not (1 <= t1 <= t2):
+            raise ValueError(f"invalid interval {self.interval}")
+        object.__setattr__(self, "interval", (int(t1), int(t2)))
 
     @property
-    def ops(self) -> tuple:
-        return self.gating.ops
+    def n_experts(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.A.shape[1]
+
+    def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
+        return _einsum("nk,kij,nj->ni", w, self.A, z2) + w @ self.b
+
+    def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = self.gating.weights(z2)
+        return w, self._mix(w, z2)
+
+    def apply_along_chain(self, z2: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Output and the chain's trajectory, gating each operator of the chain once.
+
+        For an operator gated by a ``PathGating``: ``out`` has the bits of
+        ``apply(z2)`` and ``points[j]`` those of
+        ``apply_chain(gating.ops[: j + 1], z2)``.
+        """
+        if not isinstance(self.gating, PathGating):
+            raise ValueError("operator's gating runs no chain of operators")
+        stages, points = self.gating.trajectory(z2)
+        return self._mix(self.gating.combine(stages), z2), points
+
+    def apply(self, z) -> np.ndarray:
+        z2, single = _as_batch(z)
+        _, out = self.weights_apply(z2)
+        return out[0] if single else out
 
 
 def single_step_moe(gmm: GaussianMixture, sched: NoiseSchedule, t: int) -> MoeOperator:
@@ -551,13 +492,18 @@ def apply_chain(ops: Sequence, z) -> np.ndarray:
     return z2[0] if single else z2
 
 
-def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> CompositionExpansion:
+def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> MoeOperator:
     """Expand a composition of MoE operators into its product-of-experts form.
 
     ``ops`` are given in application order; consecutive intervals must be
     contiguous (each next operator ends where the previous one starts minus
     one).  The expansion has ``prod_k K_k`` components and is rejected when
-    that exceeds ``cap``.
+    that exceeds ``cap``.  Component ``c`` is the ``c``-th expert index tuple
+    ``(i_1, ..., i_k)`` in lexicographic order, first applied stage most
+    significant (as ``itertools.product``); ``A[c]``, ``b[c]`` is the
+    end-to-end map of applying expert ``i_1`` of the first stage, then
+    ``i_2`` of the second, and so on.  It is gated by ``PathGating(ops)``,
+    so it agrees with applying ``ops`` sequentially.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -582,7 +528,7 @@ def compose_expand(ops: Sequence, cap: int = DEFAULT_EXPANSION_CAP) -> Compositi
     for op in ops:
         A_tot = np.matmul(op.A[None], A_tot[:, None]).reshape(-1, d, d)
         b_tot = (np.matmul(op.A[None], b_tot[:, None, :, None])[..., 0] + op.b).reshape(-1, d)
-    return CompositionExpansion(
+    return MoeOperator(
         A=A_tot,
         b=b_tot,
         gating=PathGating(ops=tuple(ops)),
@@ -635,7 +581,7 @@ class _FittingSet:
     that chunk.
     """
 
-    def __init__(self, expansion: CompositionExpansion, samples) -> None:
+    def __init__(self, expansion: MoeOperator, samples) -> None:
         samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 2:
             raise ValueError("samples must be an (n, d) array")
@@ -652,10 +598,10 @@ class _FittingSet:
                 z = self.samples[lo : lo + chunk]
                 self._chunks.append((z, self.expansion.gating.stage_weights(z)))
         for z, stages in self._chunks:
-            yield z, _path_product(stages)
+            yield z, self.expansion.gating.combine(stages)
 
 
-def _fitting_set(expansion: CompositionExpansion, samples) -> _FittingSet:
+def _fitting_set(expansion: MoeOperator, samples) -> _FittingSet:
     # ``_compress`` hands its already-gated set to the public functions
     if isinstance(samples, _FittingSet):
         if samples.expansion is not expansion:
@@ -700,7 +646,7 @@ class FitResult:
 
 
 def fit_cluster_student(
-    expansion: CompositionExpansion,
+    expansion: MoeOperator,
     partition: Sequence[Sequence[int]],
     samples: np.ndarray,
 ) -> FitResult:
@@ -742,7 +688,7 @@ def fit_cluster_student(
     student = MoeOperator(
         A=A_student,
         b=b_student,
-        gating=AggregatedGating(base=expansion.gating, membership=membership),
+        gating=PathGating(ops=expansion.gating.ops, membership=membership),
         interval=expansion.interval,
     )
     return FitResult(
@@ -851,7 +797,7 @@ def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) 
 
 
 def choose_partition(
-    expansion: CompositionExpansion,
+    expansion: MoeOperator,
     samples: np.ndarray,
     method: str = "greedy_affine",
     n_clusters: int | None = None,
@@ -868,7 +814,7 @@ def choose_partition(
     fitting = _fitting_set(expansion, samples)
     C = expansion.n_experts
     if n_clusters is None:
-        n_clusters = expansion.ops[0].n_experts
+        n_clusters = expansion.gating.ops[0].n_experts
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     if C <= n_clusters:
@@ -939,7 +885,7 @@ def _exhaustive_partition(fitting: _FittingSet, n_clusters: int) -> list[list[in
 
 
 def _compress(
-    expansion: CompositionExpansion,
+    expansion: MoeOperator,
     samples: np.ndarray,
     method: str = "greedy_affine",
     n_clusters: int | None = None,
@@ -1009,7 +955,7 @@ def mc_distillation_loss(
     student and the chain's output, with the bits of ``apply_chain``.
     """
     if target is None:
-        if _path_gating(student)[0] is None:
+        if not isinstance(getattr(student, "gating", None), PathGating):
             raise ValueError("target=None needs a student gated along a chain of operators")
 
         def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1105,8 +1051,9 @@ def error_propagation_audit(
         raise ValueError("stage2 interval does not match the teacher chain split")
     if merged.interval != (stage2.interval[0], stage1.interval[1]):
         raise ValueError("merged operator must cover both stages")
-    path, _ = _path_gating(merged)
-    if path is None or len(path.ops) != 2 or path.ops[0] is not stage1 or path.ops[1] is not stage2:
+    gating = getattr(merged, "gating", None)
+    chain = gating.ops if isinstance(gating, PathGating) else ()
+    if len(chain) != 2 or chain[0] is not stage1 or chain[1] is not stage2:
         raise ValueError("merged operator's gating must run exactly (stage1, stage2)")
 
     def terms(z: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -367,7 +367,10 @@ def write_shrinkage_csv(shrink: ShrinkageProfile, path: str | Path) -> None:
 
 
 def read_shrinkage_csv(path: str | Path) -> np.ndarray:
-    """Read a ``t,i,gamma`` CSV back as a ``(T, d)`` matrix."""
+    """Read a ``t,i,gamma`` CSV back as a ``(T, d)`` matrix.
+
+    The ``(t, i)`` keys must be exactly ``{1..T} x {1..d}``, each once.
+    """
     raw = Path(path).read_text(encoding="ascii").strip().splitlines()
     if not raw or raw[0].strip() != "t,i,gamma":
         raise ValueError("shrinkage CSV must start with header row 't,i,gamma'")
@@ -380,10 +383,12 @@ def read_shrinkage_csv(path: str | Path) -> np.ndarray:
         if key in cells:
             raise ValueError(f"shrinkage CSV repeats the row for (t, i)={key}")
         cells[key] = float(g_str)
+    if not cells:
+        raise ValueError("shrinkage CSV 't,i,gamma' has a header row but no data rows")
     T = max(t for t, _ in cells)
     d = max(i for _, i in cells)
-    if len(cells) != T * d:
-        raise ValueError("shrinkage CSV must list every (t, i) pair exactly once")
+    if sorted(cells) != [(t, i) for t in range(1, T + 1) for i in range(1, d + 1)]:
+        raise ValueError("shrinkage CSV must list every (t, i) pair in 1..T x 1..d exactly once")
     gamma = np.empty((T, d))
     for (t, i), g in cells.items():
         gamma[t - 1, i - 1] = g

@@ -193,6 +193,8 @@ def read_schedule_csv(path: str | Path) -> NoiseSchedule:
         if t in alphas:
             raise ValueError(f"schedule CSV lists t={t} more than once")
         alphas[t] = float(a_str)
+    if not alphas:
+        raise ValueError("schedule CSV 't,alpha' has a header row but no data rows")
     T = max(alphas)
     if sorted(alphas) != list(range(T + 1)):
         raise ValueError("schedule CSV must list every t in 0..T exactly once")

@@ -1,6 +1,9 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import merge_planner
@@ -21,6 +24,23 @@ def test_star_import():
     assert "pareto_dp" in namespace and "compose_expand" in namespace
 
 
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these by name; a deleted or renamed one breaks tracing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = []
+    for mod_name, qualname, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"merge_planner.{mod_name}")
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{qualname}")
+    assert missing == [], f"perfbench/tracing.py traces undefined {missing}"
+
+
 def _value_instances():
     gmm, linear_op, pareto_dp, schedule = (
         importlib.import_module(f"merge_planner.{name}")
@@ -29,6 +49,7 @@ def _value_instances():
     sched = schedule.make_cosine_schedule(4)
     data = linear_op.DiagGaussian([2.0, 0.5])
     mixture = gmm.make_circle_mixture(4)
+    steps = (gmm.single_step_moe(mixture, sched, 2), gmm.single_step_moe(mixture, sched, 1))
     return {
         "NoiseSchedule": lambda: schedule.make_cosine_schedule(4),
         "DiagGaussian": lambda: linear_op.DiagGaussian([2.0, 0.5]),
@@ -39,6 +60,8 @@ def _value_instances():
         "GaussianMixture": lambda: gmm.make_circle_mixture(4),
         "PosteriorGating": lambda: gmm.PosteriorGating(gmm=mixture, sched=sched, t=2),
         "NoisySampler": lambda: gmm.NoisySampler(gmm=mixture, sched=sched, t=2),
+        "PathGating": lambda: gmm.PathGating(ops=steps),
+        "PathGating-membership": lambda: gmm.PathGating(ops=steps, membership=np.ones((16, 1))),
     }
 
 

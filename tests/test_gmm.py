@@ -12,10 +12,10 @@ from hypothesis.extra import numpy as hnp
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
-    AggregatedGating,
     GaussianMixture,
     MoeOperator,
     NoisySampler,
+    PathGating,
     PosteriorGating,
     apply_chain,
     choose_partition,
@@ -232,7 +232,7 @@ class TestMoeOperator:
         ops = [single_step_moe(circle8, sched32, t) for t in (3, 3, 2)]
         expansions = [compose_expand(ops[1:]) for _ in range(2)]
         gatings = [
-            AggregatedGating(base=expansions[0].gating, membership=np.ones((64, 1)))
+            PathGating(ops=expansions[0].gating.ops, membership=np.ones((64, 1)))
             for _ in range(2)
         ]
         for a, b in (ops[:2], expansions, gatings):
@@ -798,7 +798,7 @@ class TestApplyAlongChain:
         for op in (expansion, merged, student):
             out, points = op.apply_along_chain(z)
             assert out.tobytes() == op.apply(z).tobytes()
-            ops = op.gating.base.ops if op is not expansion else op.ops
+            ops = op.gating.ops
             assert len(points) == len(ops)
             for j, point in enumerate(points):
                 assert point.tobytes() == apply_chain(ops[: j + 1], z).tobytes()

@@ -26,7 +26,7 @@ from merge_planner.linear_op import (
     write_operator_csv,
     write_shrinkage_csv,
 )
-from merge_planner.schedule import NoiseSchedule, make_cosine_schedule
+from merge_planner.schedule import NoiseSchedule, make_cosine_schedule, read_schedule_csv
 from merge_planner.verify import integrate_gradient_flow_rk4
 
 from plan_reference import direct_merge, merge
@@ -483,6 +483,29 @@ class TestOperatorCsv:
         path.write_text("t,i,gamma\n1,1,0.5\n1,1,0.9\n2,1,0.7\n")
         with pytest.raises(ValueError, match=r"repeats the row for \(t, i\)=\(1, 1\)"):
             read_shrinkage_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        # as many cells as T x d, so only the key range can give them away
+        ["0,1,0.5\n2,1,0.7\n", "1,0,0.5\n2,1,0.7\n", "-1,1,0.5\n1,1,0.7\n2,1,0.9\n4,1,0.1\n"],
+        ids=["t-zero", "i-zero", "t-negative"],
+    )
+    def test_shrinkage_keys_outside_the_grid_rejected(self, tmp_path, rows):
+        path = tmp_path / "gamma.csv"
+        path.write_text("t,i,gamma\n" + rows)
+        with pytest.raises(ValueError, match=r"every \(t, i\) pair in 1\.\.T x 1\.\.d"):
+            read_shrinkage_csv(path)
+
+    @pytest.mark.parametrize(
+        "reader, header",
+        [(read_shrinkage_csv, "t,i,gamma"), (read_schedule_csv, "t,alpha")],
+        ids=["shrinkage", "schedule"],
+    )
+    def test_header_only_file_rejected(self, tmp_path, reader, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=f"CSV '{header}' has a header row but no data rows"):
+            reader(path)
 
 
 class TestDiagOperator:

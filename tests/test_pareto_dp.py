@@ -229,14 +229,14 @@ class TestSkyline:
                 mp.setattr(dp_module, "_LEAF_ROWS", leaf)
                 assert _skyline(signed).tolist() == expected
 
-    def test_three_dim_last_block_of_one_row(self, monkeypatch):
+    def test_last_leaf_of_one_row(self, monkeypatch):
         # sorted by x descending; with 3-row leaves the last row is in the second half
         signed = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert _skyline(signed).tolist() == [0, 3]
         monkeypatch.setattr(dp_module, "_LEAF_ROWS", 3)
         assert _skyline(signed).tolist() == [0, 3]
 
-    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("leaf", [None, 3])
     @pytest.mark.parametrize(
         "seed, n, step, d",
         # only d > 3 adds a suffix to the id, so the d = 3 ids stay stable
@@ -246,7 +246,7 @@ class TestSkyline:
             for case in [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
         ],
     )
-    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, block, seed, n, step, d):
+    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
         """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
 
         Rows near the hyperplane where the coordinates sum to 0 give large
@@ -260,8 +260,8 @@ class TestSkyline:
         signed[copies] = signed[rng.integers(0, n, np.count_nonzero(copies))]
         signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
         expected = _sort_filter_skyline(signed).tolist()
-        if block is not None:
-            monkeypatch.setattr(dp_module, "_LEAF_ROWS", block)
+        if leaf is not None:
+            monkeypatch.setattr(dp_module, "_LEAF_ROWS", leaf)
         assert n // dp_module._LEAF_ROWS >= 2  # the recursion splits
         assert _skyline(signed).tolist() == expected
 
