@@ -61,6 +61,9 @@ DEFAULT_EXPANSION_CAP = 4096
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE = 1e-10
 _KMEANS_ITERS = 200
+# exhaustive partition search: the tie tolerance, as a fraction of the zero
+# student's bound; rounding moved bounds by about 1e-16 of it
+_PARTITION_TIE_RTOL = 1e-12
 # the audit's Lipschitz estimate: perturbed pairs, and the perturbation scale
 _LIPSCHITZ_PAIRS = 2048
 _LIPSCHITZ_SCALE = 1e-3
@@ -809,7 +812,8 @@ def choose_partition(
     parameters, with component masses measured on the provided samples.
     ``exhaustive`` enumerates every partition into at most ``n_clusters``
     groups (guarded to <= 9 components and <= 3 clusters) and returns the
-    bound minimizer.
+    bound minimizer; bounds that agree to rounding go to the
+    lexicographically smallest partition.
     """
     fitting = _fitting_set(expansion, samples)
     C = expansion.n_experts
@@ -864,24 +868,32 @@ def _restricted_partitions(n: int, max_blocks: int):
 
 
 def _exhaustive_partition(fitting: _FittingSet, n_clusters: int) -> list[list[int]]:
+    """The partition with the least bound; near ties go to the smallest partition.
+
+    A bound is a sum of ``q - tr(M R)`` terms that add up to about the zero
+    student's bound ``q.sum()``, so its rounding scales with that sum: bounds
+    within ``_PARTITION_TIE_RTOL * q.sum()`` of the least are tied, and the
+    lexicographically smallest partition (sorted groups, ordered by first
+    member, as enumerated) wins, as the DP breaks ties by the smallest plan.
+    """
     # the moments are additive over cluster members: compute them once per
     # component and sum them per candidate group
     C = fitting.expansion.n_experts
     H, R, q, _ = _cluster_moments(fitting, [np.array([c]) for c in range(C)])
-    best: list[list[int]] | None = None
-    best_obj = np.inf
-    for partition in _restricted_partitions(C, n_clusters):
-        obj = 0.0
-        for group in partition:
-            Rk = R[group].sum(axis=0)
-            M, _ = _solve_normal(H[group].sum(axis=0), Rk)
-            obj += q[group].sum() - float(np.sum(M * Rk))
-        if obj < best_obj:
-            best_obj = obj
-            best = [sorted(g) for g in partition]
-    assert best is not None
-    best.sort(key=lambda g: g[0])
-    return best
+    partitions = list(_restricted_partitions(C, n_clusters))
+    bounds = np.array([_partition_bound(H, R, q, partition) for partition in partitions])
+    tied = np.flatnonzero(bounds <= bounds.min() + _PARTITION_TIE_RTOL * q.sum())
+    return min(partitions[i] for i in tied)
+
+
+def _partition_bound(H: np.ndarray, R: np.ndarray, q: np.ndarray, partition) -> float:
+    """The bound of ``partition`` from per-component moments, summed group by group."""
+    bound = 0.0
+    for group in partition:
+        Rk = R[group].sum(axis=0)
+        M, _ = _solve_normal(H[group].sum(axis=0), Rk)
+        bound += q[group].sum() - float(np.sum(M * Rk))
+    return bound
 
 
 def _compress(

@@ -278,6 +278,14 @@ def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndar
     exactly one item, so each cell keeps one value.  The loop runs over
     interval lengths only; start times and columns are vectorized.
 
+    The kept values live in two length-major tables: ``by_start[L-1, t1-1]``
+    for the length-``L`` interval that starts at ``t1`` and ``by_end[L-1,
+    t2-1]`` for the one that ends at ``t2``.  For length ``L`` and ``k = T -
+    L + 1`` intervals, the left parts of the splits are ``by_start[:L-1,
+    :k]`` (lengths 1..L-1), the right parts ``by_end[L-2::-1, L-1:]``
+    (lengths L-1..1) and the shrinkage ``gamma[L-1:]``, so every operand is a
+    basic slice and every result goes into a preallocated buffer.
+
     Bit-identity contract: entry ``k`` equals ``pareto_dp(...).best.entries``
     for column ``k`` alone, bit for bit.  Candidates come in ``pareto_dp``
     order (the one-shot merge, then the splits by ascending ``m``), with the
@@ -290,24 +298,34 @@ def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndar
     the same bits and the kept entry is the one ``_skyline`` keeps.
     """
     T, n = single.shape
-    value = np.empty((T, T, n))  # value[t1-1, t2-1]: the entry kept for (t1, t2)
-    steps = np.arange(T)
-    value[steps, steps] = single
-    prods = single  # prods[t1-1]: product of single steps t1..t2
+    by_start = np.empty((T, T, n))
+    by_end = np.empty((T, T, n))
+    by_start[0] = by_end[0] = single
+    one_minus_gamma = 1.0 - gamma
+    prods = single.copy()  # prods[t1-1]: product of single steps t1..t2
+    cand = np.empty((T, T, n))  # cand[:L, :k]: the candidates of length L
+    scaled = np.empty((T, T, n))  # scaled[:L, :k]: the g * right terms
     for length in range(2, T + 1):
-        starts = steps[: T - length + 1]
-        ends = starts + (length - 1)
-        g = gamma[ends]
-        one_minus_g = 1.0 - g
-        prods = prods[:-1] * single[ends]
-        one_shot = one_minus_g * prods + g * single[ends]
-        left_len = np.arange(1, length)[:, None]  # split m = t1 + left_len - 1
-        left = value[starts, starts + left_len - 1]
-        right = value[starts + left_len, ends]
-        merged = one_minus_g * (left * right) + g * right
-        cand = np.concatenate([one_shot[None], merged])
-        value[starts, ends] = np.max(cand * rho, axis=0) * rho
-    return value[0, T - 1]
+        k = T - length + 1  # intervals of this length; ends run from `length` to T
+        g, one_minus_g = gamma[length - 1 :], one_minus_gamma[length - 1 :]
+        last = single[length - 1 :]
+        c, s = cand[:length, :k], scaled[:length, :k]
+        np.multiply(prods[:k], last, out=prods[:k])
+        np.multiply(one_minus_g, prods[:k], out=c[0])
+        np.multiply(g, last, out=s[0])
+        # split m = t1 + a - 1 for a = 1..length-1: left has length a, right length-a
+        left = by_start[: length - 1, :k]
+        right = by_end[length - 2 :: -1, length - 1 :]
+        np.multiply(left, right, out=c[1:])
+        np.multiply(one_minus_g, c[1:], out=c[1:])
+        np.multiply(g, right, out=s[1:])
+        np.add(c, s, out=c)
+        np.multiply(c, rho, out=c)
+        kept = by_start[length - 1, :k]
+        np.maximum.reduce(c, axis=0, out=kept)
+        np.multiply(kept, rho, out=kept)
+        by_end[length - 1, length - 1 :] = kept
+    return by_start[T - 1, 0]
 
 
 def _smallest_plan(back: dict, T: int, roots: np.ndarray) -> tuple[int, MergePlan]:

@@ -493,6 +493,30 @@ class TestChoosePartition:
             got = fit_cluster_student(expansion, chosen, samples).bound
             assert got == pytest.approx(best, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("K, seed, n_clusters", [(2, 86, 2), (3, 3, 2), (3, 36, 3)])
+    def test_exhaustive_choice_survives_reversed_summation(self, monkeypatch, K, seed, n_clusters):
+        # C = K**2 = 4 or 9 components whose best bounds agree to rounding:
+        # without the tie tolerance, summing the groups and their members in
+        # reverse order changes the chosen partition in each of these cases
+        sched = make_cosine_schedule(16)
+        rng = np.random.default_rng(seed)
+        gmm = GaussianMixture(
+            pi=np.full(K, 1.0 / K),
+            mu=rng.normal(scale=2.0, size=(K, 2)),
+            cov=np.stack([np.eye(2) * rng.uniform(0.1, 0.5) ** 2 for _ in range(K)]),
+        )
+        t = int(rng.integers(3, 14))
+        expansion = compose_expand([single_step_moe(gmm, sched, t), single_step_moe(gmm, sched, t - 1)])
+        samples = NoisySampler(gmm=gmm, sched=sched, t=t).sample(256, rng)
+        chosen = choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters)
+        bound = gmm_module._partition_bound
+        monkeypatch.setattr(
+            gmm_module,
+            "_partition_bound",
+            lambda H, R, q, partition: bound(H, R, q, [g[::-1] for g in partition[::-1]]),
+        )
+        assert choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters) == chosen
+
     def test_exhaustive_guard(self, sched32, circle8):
         ops = [single_step_moe(circle8, sched32, t) for t in (32, 31)]
         expansion = compose_expand(ops)

@@ -407,6 +407,25 @@ class TestParetoDp:
             diff = surr[k] - roots[k]
             assert (diff * diff).tobytes() == np.float64(dp.objective).tobytes()
 
+    @pytest.mark.parametrize("s_train", [0.0, 6.4])
+    @pytest.mark.parametrize("T", [1, 2, 32, 64])
+    def test_scalar_dp_matches_pareto_dp_bitwise_long_schedules(self, T, s_train):
+        # past the T <= 24 of the property test, up to the sweep's T = 64;
+        # pareto_dp takes about 0.5 s per column at T = 64, so there only the
+        # column just above the critical variance is checked against it
+        sched = make_cosine_schedule(T)
+        crit = max(critical_variance(sched)[0], 0.1)
+        lams = [np.nextafter(crit, np.inf), crit, np.nextafter(crit, 0.0), 1.0]
+        data = DiagGaussian(lams)
+        rho = PreferenceVector.from_variances(data).rho
+        roots = scalar_dp(single_step_matrix(sched, data), shrinkage(sched, data, s_train).gamma, rho)
+        for k, lam in enumerate(data.lam[: 1 if T == 64 else None]):
+            one = DiagGaussian([lam])
+            dp = pareto_dp(
+                sched, one, shrinkage(sched, one, s_train), surrogate_target(sched, one)
+            )
+            assert roots[k : k + 1].tobytes() == dp.best.entries.tobytes()
+
     def test_deterministic_output(self):
         sched = make_cosine_schedule(7)
         data = DiagGaussian([1.08, 0.97])
