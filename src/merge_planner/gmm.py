@@ -20,7 +20,6 @@ student with its cluster ``membership``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -203,28 +202,6 @@ def _pairwise_columns(a: np.ndarray, lo: int, n: int) -> np.ndarray:
     return _pairwise_columns(a, lo, half) + _pairwise_columns(a, lo + half, n - half)
 
 
-@functools.lru_cache(maxsize=64)
-def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
-    """The greedy contraction path ``np.einsum(..., optimize=True)`` finds for these shapes."""
-    dummies = [np.broadcast_to(np.float64(0.0), shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *dummies, optimize="greedy")[0])
-
-
-def _einsum(subscripts: str, *ops: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *ops, optimize=True)``, without searching the path on every call.
-
-    NumPy searches a contraction path only for three or more operands.  That
-    path depends only on the subscripts and the operand shapes, so it is
-    searched once per pair (on zero-stride dummies) and reused.  Two-operand
-    calls have nothing to search and stay out of the cache, whose entries
-    would only hold memory.
-    """
-    if len(ops) < 3:
-        return np.einsum(subscripts, *ops, optimize=True)
-    path = _einsum_path(subscripts, tuple(op.shape for op in ops))
-    return np.einsum(subscripts, *ops, optimize=path)
-
-
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """``scipy.special.logsumexp(a, axis=0)`` of a ``(K, n)`` array, with scipy's exact arithmetic.
 
@@ -375,11 +352,14 @@ class PathGating:
         """The gating weights from the stage weights.
 
         Their outer products, first stage most significant, then summed by
-        cluster when a ``membership`` is set.
+        cluster when a ``membership`` is set.  Each outer product is one
+        ``einsum`` loop per row, with the bits of the broadcast product
+        ``w[:, :, None] * stage_w[:, None, :]`` except that it writes +0.0
+        for a -0.0 product; gating weights are never -0.0.
         """
         w = stages[0]
         for stage_w in stages[1:]:
-            w = (w[:, :, None] * stage_w[:, None, :]).reshape(w.shape[0], -1)
+            w = np.einsum("ni,nj->nij", w, stage_w).reshape(w.shape[0], -1)
         return w if self.membership is None else w @ self.membership
 
     def weights(self, z2: np.ndarray) -> np.ndarray:
@@ -437,7 +417,13 @@ class MoeOperator:
         return self.A.shape[1]
 
     def _mix(self, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
-        return _einsum("nk,kij,nj->ni", w, self.A, z2) + w @ self.b
+        # the matmuls ``np.einsum("nk,kij,nj->ni", w, A, z2, optimize=True)``
+        # runs when its path mixes the experts first, sum_k w[n, k] A[k] per
+        # sample, then one batched matrix-vector product; NumPy 2.4 takes that
+        # path for every n once C >= d^2 (except C = d = 1)
+        n, (C, d) = w.shape[0], self.A.shape[:2]
+        mixed = (self.A.transpose(1, 2, 0).reshape(d * d, C) @ w.T).reshape(d, d, n)
+        return (mixed.transpose(2, 0, 1) @ z2.reshape(n, d, 1)).reshape(n, d) + w @ self.b
 
     def weights_apply(self, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = self.gating.weights(z2)
@@ -714,6 +700,7 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     """
     d = fitting.samples.shape[1]
     expansion = fitting.expansion
+    C = expansion.n_experts
     K = len(groups)
     H = np.zeros((K, d + 1, d + 1))
     R = np.zeros((K, d, d + 1))
@@ -723,21 +710,24 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        g = _einsum("cij,mj->mci", expansion.A, z) + expansion.b
-        gsq = _rowsum(g * g)  # (m, C)
+        g = (z @ expansion.A.transpose(2, 0, 1).reshape(d, C * d)).reshape(m, C, d) + expansion.b
+        # component-major copies: a cluster's operands are contiguous row
+        # blocks, and their transposes have the strides of the fancy gathers
+        # ``w[:, idx]``, ``g[:, idx, :]`` and ``gsq[:, idx]`` they replace, so
+        # every BLAS call and every flat sum below adds in the same order
+        gT = g.transpose(1, 0, 2).copy()  # (C, m, d)
+        del g
+        gsqT = _rowsum(gT * gT)  # (C, m)
+        wT = w.T.copy()  # (C, m)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
-            # keep the fancy gather: it returns column-major strides (8, 8 m),
-            # and ``np.sum`` of ``wk * gsq[:, idx]`` below adds in memory
-            # order; ``np.take`` returns C order, which reorders that flat
-            # ``qfull`` sum and changes its bits
-            wk = w[:, idx]
+            wk = wT[idx].T  # (m, n_k)
             Wk = np.sum(wk, axis=1)  # (m,)
-            Sk = _einsum("mc,mci->mi", wk, g[:, idx, :])
-            H[k] += _einsum("m,mi,mj->ij", Wk, u, u)
+            Sk = (gT[idx].transpose(1, 2, 0) @ wk.reshape(m, idx.size, 1)).reshape(m, d)
+            H[k] += (u.T * Wk.reshape(1, m)) @ u
             R[k] += Sk.T @ u
-            qfull[k] += float(np.sum(wk * gsq[:, idx]))
+            qfull[k] += float(np.sum(wk * gsqT[idx].T))
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
     return H, R, qfull, cquad

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gmm_reference import cluster_moments
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
@@ -1030,7 +1031,34 @@ class TestPosteriorGatingOracle:
         assert make_circle_mixture(8)._gating_constants(sched_a, 3) is not first
 
 
+@pytest.fixture(scope="module")
+def expansions(sched32, circle8):
+    """Expansions of two and three circle-mixture steps: 64 and 512 experts."""
+    ops = [single_step_moe(circle8, sched32, t) for t in (20, 19, 18)]
+    return {64: compose_expand(ops[:2]), 512: compose_expand(ops)}
+
+
+def _fitting_set(expansion, sched32, circle8, n, seed):
+    samples = NoisySampler(gmm=circle8, sched=sched32, t=20).sample(n, np.random.default_rng(seed))
+    return gmm_module._FittingSet(expansion, samples)
+
+
+def _assert_same_moments(got, want):
+    for name, a, b in zip(("H", "R", "qfull", "cquad"), got, want, strict=True):
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestEinsum:
+    """The contractions written as matmuls have the bits of ``np.einsum(..., optimize=True)``.
+
+    ``MoeOperator._mix`` runs ``nk,kij,nj->ni``; ``_cluster_moments`` runs
+    the other three, so each of its cases builds a fitting set and a
+    partition whose chunk and clusters have exactly those shapes, and holds
+    the moments equal to the gather-loop reference, which calls the
+    optimized einsum.
+    """
+
     # the shapes the mixture workloads contract, per subscripts
     CASES = [
         ("nk,kij,nj->ni", [(1024, 8), (8, 2, 2), (1024, 2)]),
@@ -1047,22 +1075,114 @@ class TestEinsum:
     ]
 
     @pytest.mark.parametrize("subscripts, shapes", CASES)
-    def test_matches_optimized_einsum_bit_for_bit(self, subscripts, shapes):
-        rng = np.random.default_rng(len(subscripts) * 1000 + shapes[0][0])
-        ops = [rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3) for shape in shapes]
-        want = np.einsum(subscripts, *ops, optimize=True)
-        for _ in range(2):  # a searched path, then the cached one
-            got = gmm_module._einsum(subscripts, *ops)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    def test_matches_optimized_einsum_bit_for_bit(
+        self, subscripts, shapes, expansions, sched32, circle8
+    ):
+        seed = len(subscripts) * 1000 + shapes[0][0]
+        if subscripts == "nk,kij,nj->ni":
+            rng = np.random.default_rng(seed)
+            w, A, z = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3) for shape in shapes)
+            op = MoeOperator(
+                A=A,
+                b=rng.standard_normal(A.shape[:2]),
+                gating=PosteriorGating(circle8, sched32, 20),
+                interval=(20, 20),
+            )
+            want = np.einsum(subscripts, w, A, z, optimize=True) + w @ op.b
+            assert op._mix(w, z).tobytes() == want.tobytes()
+            return
+        if subscripts == "cij,mj->mci":
+            (C, _, _), (m, _) = shapes
+            sizes = [C]
+        elif subscripts == "mc,mci->mi":
+            m, size = shapes[0]
+            C = 64 if size <= 64 else 512
+            sizes = [size, C - size]
+        else:  # "m,mi,mj->ij", with u = [z; 1] of width d + 1 = 3
+            (m,), C, sizes = shapes[0], 64, [64]
+        fitting = _fitting_set(expansions[C], sched32, circle8, m, seed)
+        assert gmm_module._chunk_size(C) >= m  # one chunk of m rows
+        bounds = np.cumsum([0, *sizes])
+        groups = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        _assert_same_moments(
+            gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
+        )
 
-    def test_path_cache_is_bounded(self):
-        maxsize = gmm_module._einsum_path.cache_info().maxsize
-        assert maxsize is not None
-        for m in range(1, maxsize + 20):
-            u = np.ones((m, 3))
-            gmm_module._einsum("m,mi,mj->ij", np.ones(m), u, u)
-        assert gmm_module._einsum_path.cache_info().currsize <= maxsize
+
+@st.composite
+def _partitions(draw, C):
+    """A partition of ``range(C)`` with one empty group and up to four singletons."""
+    n_labels = draw(st.integers(1, 9))
+    labels = draw(st.lists(st.integers(0, n_labels - 1), min_size=C, max_size=C))
+    singles = draw(st.sets(st.integers(0, C - 1), max_size=4))
+    groups = [[c for c in range(C) if labels[c] == k and c not in singles] for k in range(n_labels)]
+    groups += [[c] for c in sorted(singles)]
+    groups.insert(draw(st.integers(0, len(groups))), [])
+    return groups
+
+
+@pytest.fixture(scope="module")
+def fitting64(expansions, sched32, circle8):
+    return _fitting_set(expansions[64], sched32, circle8, 700, 31)
+
+
+@pytest.fixture(scope="module")
+def fitting512(expansions, sched32, circle8):
+    # more samples than one chunk holds: the moments sum over two chunks
+    return _fitting_set(expansions[512], sched32, circle8, gmm_module._chunk_size(512) + 300, 32)
+
+
+class TestClusterMoments:
+    """Component-major moments equal the gather-loop reference byte for byte."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(partition=_partitions(64))
+    @example(partition=[list(range(64))])
+    @example(partition=[[c] for c in range(64)])
+    def test_matches_gather_loop_reference(self, fitting64, partition):
+        groups = gmm_module._validate_partition(partition, 64)
+        _assert_same_moments(
+            gmm_module._cluster_moments(fitting64, groups), cluster_moments(fitting64, groups)
+        )
+
+    @settings(PROPERTY_SETTINGS, max_examples=3)
+    @given(partition=_partitions(512))
+    @example(partition=[list(range(512)), []])
+    @example(partition=[[c] for c in range(512)])
+    def test_matches_reference_across_chunks(self, fitting512, partition):
+        assert len(list(fitting512.weights())) == 2
+        groups = gmm_module._validate_partition(partition, 512)
+        _assert_same_moments(
+            gmm_module._cluster_moments(fitting512, groups), cluster_moments(fitting512, groups)
+        )
+
+
+@st.composite
+def _stage_weights(draw):
+    n = draw(st.integers(1, 40))
+    # at most 64 x 8 x 8 products, as in a third composed step of the circle mixture
+    widths = [draw(st.integers(1, 64)), *draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    stages = []
+    for k in widths:
+        w = rng.random((n, k)) * 10.0 ** rng.integers(-300, 1, size=(n, k))
+        w[rng.random((n, k)) < zeros] = 0.0
+        stages.append(w)
+    stages[draw(st.integers(0, len(stages) - 1))][rng.random(n) < 0.2] = 0.0  # whole rows
+    return stages  # gating weights are never -0.0
+
+
+class TestCombine:
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(_stage_weights())
+    def test_outer_products_match_broadcast_product_bit_for_bit(self, stages):
+        want = stages[0]
+        for stage_w in stages[1:]:
+            want = (want[:, :, None] * stage_w[:, None, :]).reshape(want.shape[0], -1)
+        got = PathGating(ops=()).combine(stages)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 _MIXTURE_TEXT = """K 2
