@@ -1038,7 +1038,7 @@ def expansions(sched32, circle8):
     return {64: compose_expand(ops[:2]), 512: compose_expand(ops)}
 
 
-def _fitting_set(expansion, sched32, circle8, n, seed):
+def _circle_fitting_set(expansion, sched32, circle8, n, seed):
     samples = NoisySampler(gmm=circle8, sched=sched32, t=20).sample(n, np.random.default_rng(seed))
     return gmm_module._FittingSet(expansion, samples)
 
@@ -1100,7 +1100,7 @@ class TestEinsum:
             sizes = [size, C - size]
         else:  # "m,mi,mj->ij", with u = [z; 1] of width d + 1 = 3
             (m,), C, sizes = shapes[0], 64, [64]
-        fitting = _fitting_set(expansions[C], sched32, circle8, m, seed)
+        fitting = _circle_fitting_set(expansions[C], sched32, circle8, m, seed)
         assert gmm_module._chunk_size(C) >= m  # one chunk of m rows
         bounds = np.cumsum([0, *sizes])
         groups = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -1123,13 +1123,14 @@ def _partitions(draw, C):
 
 @pytest.fixture(scope="module")
 def fitting64(expansions, sched32, circle8):
-    return _fitting_set(expansions[64], sched32, circle8, 700, 31)
+    return _circle_fitting_set(expansions[64], sched32, circle8, 700, 31)
 
 
 @pytest.fixture(scope="module")
 def fitting512(expansions, sched32, circle8):
     # more samples than one chunk holds: the moments sum over two chunks
-    return _fitting_set(expansions[512], sched32, circle8, gmm_module._chunk_size(512) + 300, 32)
+    n = gmm_module._chunk_size(512) + 300
+    return _circle_fitting_set(expansions[512], sched32, circle8, n, 32)
 
 
 class TestClusterMoments:
