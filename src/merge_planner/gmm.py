@@ -710,11 +710,14 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     for z, w in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
+        # the contractions are the matmuls ``np.einsum(..., optimize=True)``
+        # runs for ``cij,mj->mci`` (g), ``mc,mci->mi`` (Sk) and ``m,mi,mj->ij`` (H)
         g = (z @ expansion.A.transpose(2, 0, 1).reshape(d, C * d)).reshape(m, C, d) + expansion.b
         # component-major copies: a cluster's operands are contiguous row
-        # blocks, and their transposes have the strides of the fancy gathers
-        # ``w[:, idx]``, ``g[:, idx, :]`` and ``gsq[:, idx]`` they replace, so
-        # every BLAS call and every flat sum below adds in the same order
+        # blocks whose transposes have the strides of the fancy gathers
+        # ``w[:, idx]`` and ``g[:, idx, :]``, so every BLAS call and every
+        # flat sum adds in the gathers' order; a C-order block (``np.take``)
+        # reorders the flat ``qfull`` sum and changes its bits
         gT = g.transpose(1, 0, 2).copy()  # (C, m, d)
         del g
         gsqT = _rowsum(gT * gT)  # (C, m)
