@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .schedule import NoiseSchedule
 
@@ -741,6 +740,9 @@ def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
 
     A rank-deficient ``H`` is factored as ``H + 1e-10 I`` instead.
     """
+    # Imported here so that processes which never fit a mixture never load SciPy.
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(H)
         ridged = False

@@ -350,6 +350,8 @@ def read_operator_csv(path: str | Path, interval: tuple[int, int]) -> DiagOperat
         if i in entries:
             raise ValueError(f"operator CSV repeats the row for i={i}")
         entries[i] = float(e_str)
+    if not entries:
+        raise ValueError("operator CSV 'i,entry' has a header row but no data rows")
     if sorted(entries) != list(range(1, len(entries) + 1)):
         raise ValueError("operator CSV must list every i in 1..d exactly once")
     values = np.array([entries[i] for i in range(1, len(entries) + 1)])

@@ -1,7 +1,13 @@
 import functools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import merge_planner
 from merge_planner import report
 from merge_planner.cli import main
 from merge_planner.linear_op import DiagGaussian, shrinkage, surrogate_target
@@ -125,3 +131,58 @@ def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # no flag or config key sets the cap, so the message names the ways that exist
     assert "raise the cap" not in err
     assert "use a smaller d or T, or call pareto_dp(max_frontier_size=...) from Python" in err
+
+
+def _run_fresh(script: str, *args: str) -> list[str]:
+    """Run ``script`` in a new interpreter that imports this checkout; return its stdout lines.
+
+    The test session has long since loaded SciPy (other test modules import
+    it at collection), so only a fresh interpreter shows what a CLI command loads.
+    """
+    src = str(Path(merge_planner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_LOADED_SCIPY = 'print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))'
+
+
+def test_plan_and_sweep_never_load_scipy(tmp_path):
+    out = _run_fresh(
+        """
+        import sys
+        import merge_planner
+        from merge_planner import cli
+        out = sys.argv[1]
+        assert cli.main(["plan", "--T", "8", "--lambda", "1.05 0.7", "--out", out + "/plan"]) == 0
+        assert cli.main(["sweep", "--T", "8", "--lambda", "0.5 5", "--out", out + "/sweep"]) == 0
+        """ + _LOADED_SCIPY,
+        str(tmp_path),
+    )
+    assert (tmp_path / "plan" / "plan.txt").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+    assert out[-1] == "[]"
+
+
+def test_gmm_approx_loads_scipy_at_its_first_fit(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[gmm]\nk_grid = 1\nn_fit = 256\nn_mc = 512\n")
+    argv = ["gmm-approx", "--config", str(cfg), "--T", "8", "--seed", "5", "--out"]
+    out = _run_fresh(
+        """
+        import sys
+        from merge_planner import cli
+        assert "scipy" not in sys.modules
+        assert cli.main(sys.argv[1:]) == 0
+        """ + _LOADED_SCIPY,
+        *argv, str(tmp_path / "fresh"),
+    )
+    assert "'scipy.linalg'" in out[-1]
+    assert main(argv + [str(tmp_path / "here")]) == 0
+    fresh = (tmp_path / "fresh" / "gmm_approx.csv").read_bytes()
+    assert fresh == (tmp_path / "here" / "gmm_approx.csv").read_bytes()

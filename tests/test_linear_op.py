@@ -1,3 +1,4 @@
+import functools
 import tempfile
 from pathlib import Path
 
@@ -498,8 +499,12 @@ class TestOperatorCsv:
 
     @pytest.mark.parametrize(
         "reader, header",
-        [(read_shrinkage_csv, "t,i,gamma"), (read_schedule_csv, "t,alpha")],
-        ids=["shrinkage", "schedule"],
+        [
+            (read_shrinkage_csv, "t,i,gamma"),
+            (read_schedule_csv, "t,alpha"),
+            (functools.partial(read_operator_csv, interval=(1, 1)), "i,entry"),
+        ],
+        ids=["shrinkage", "schedule", "operator"],
     )
     def test_header_only_file_rejected(self, tmp_path, reader, header):
         path = tmp_path / "empty.csv"
