@@ -1,8 +1,8 @@
 import functools
+import json
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -133,56 +133,47 @@ def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "use a smaller d or T, or call pareto_dp(max_frontier_size=...) from Python" in err
 
 
-def _run_fresh(script: str, *args: str) -> list[str]:
-    """Run ``script`` in a new interpreter that imports this checkout; return its stdout lines.
+_FRESH_CLI = """
+import json, sys
+from merge_planner import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"merge-planner {argv} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(*argvs: list[str]) -> list[str]:
+    """The ``scipy`` modules a fresh interpreter has loaded after running each CLI ``argv``.
 
     The test session has long since loaded SciPy (other test modules import
-    it at collection), so only a fresh interpreter shows what a CLI command loads.
+    it at collection), so only a fresh interpreter shows what a command loads.
     """
     src = str(Path(merge_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script), *args],
+        [sys.executable, "-c", _FRESH_CLI, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
-_LOADED_SCIPY = 'print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))'
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_plan_and_sweep_never_load_scipy(tmp_path):
-    out = _run_fresh(
-        """
-        import sys
-        import merge_planner
-        from merge_planner import cli
-        out = sys.argv[1]
-        assert cli.main(["plan", "--T", "8", "--lambda", "1.05 0.7", "--out", out + "/plan"]) == 0
-        assert cli.main(["sweep", "--T", "8", "--lambda", "0.5 5", "--out", out + "/sweep"]) == 0
-        """ + _LOADED_SCIPY,
-        str(tmp_path),
+    loaded = _scipy_modules_after(
+        ["plan", "--T", "8", "--lambda", "1.05 0.7", "--out", str(tmp_path / "plan")],
+        ["sweep", "--T", "8", "--lambda", "0.5 5", "--out", str(tmp_path / "sweep")],
     )
     assert (tmp_path / "plan" / "plan.txt").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
-    assert out[-1] == "[]"
+    assert loaded == []
 
 
 def test_gmm_approx_loads_scipy_at_its_first_fit(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[gmm]\nk_grid = 1\nn_fit = 256\nn_mc = 512\n")
     argv = ["gmm-approx", "--config", str(cfg), "--T", "8", "--seed", "5", "--out"]
-    out = _run_fresh(
-        """
-        import sys
-        from merge_planner import cli
-        assert "scipy" not in sys.modules
-        assert cli.main(sys.argv[1:]) == 0
-        """ + _LOADED_SCIPY,
-        *argv, str(tmp_path / "fresh"),
-    )
-    assert "'scipy.linalg'" in out[-1]
+    assert "scipy.linalg" in _scipy_modules_after(argv + [str(tmp_path / "fresh")])
     assert main(argv + [str(tmp_path / "here")]) == 0
     fresh = (tmp_path / "fresh" / "gmm_approx.csv").read_bytes()
     assert fresh == (tmp_path / "here" / "gmm_approx.csv").read_bytes()
