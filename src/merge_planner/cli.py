@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import verify as verify_mod
 from .pareto_dp import FrontierCapExceeded
 from .report import (
     ExperimentConfig,
@@ -102,7 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        results = verify_mod.run_all()
+        from .verify import run_all  # only here: the other commands never load the suite
+
+        results = run_all()
         return 0 if all(r.passed for r in results) else 1
     try:
         cfg = load_config(args.config, overrides=_overrides(args, args.command))

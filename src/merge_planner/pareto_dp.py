@@ -14,11 +14,13 @@ split merges by split point, left-major.  Survivors keep candidate order and
 the first exact duplicate wins, as one-by-one insertion would.  Each survivor
 stores a back-pointer ``(m, i, j)`` (``m == 0``: one-shot) instead of a plan;
 tied roots are serialized from back-pointers and only the chosen plan is
-built.
+built.  The brute-force oracle runs the same interval loop, keeping every
+candidate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +53,7 @@ MAX_BRUTE_FORCE_T = 11
 # with the cap lifted takes 25 s and peaks at 119 MB RSS on one 2-vCPU core
 DEFAULT_MAX_FRONTIER = 20_000
 
-_CHUNK_ROWS = 1 << 14  # candidate rows materialised per skyline call
+_CHUNK_ROWS = 1 << 14  # candidate rows materialised per keep call
 _LEAF_ROWS = 256  # rows compared pairwise at the bottom of the skyline recursion
 
 
@@ -193,14 +195,36 @@ def pareto_dp(
     :func:`brute_force_optimum`'s: at T = 2 the split merge duplicates the
     one-shot merge, and the DP returns ``(1:2 oneshot)`` where the oracle
     returns ``((1:1)(2:2))``.  A frontier larger than ``max_frontier_size`` raises
-    :class:`FrontierCapExceeded`; ``None`` removes the cap.
+    :class:`FrontierCapExceeded`; ``None`` removes the cap.  A ``surrogate``
+    of another dimension or interval than ``(1, T)`` raises ``ValueError``.
+    """
+    rho = PreferenceVector.from_variances(data).rho
+    return _interval_dp(
+        sched, data, shrink, surrogate, lambda rows: _skyline(rows * rho), max_frontier_size
+    )
+
+
+def _interval_dp(
+    sched: NoiseSchedule,
+    data: DiagGaussian,
+    shrink: ShrinkageProfile,
+    surrogate: DiagOperator,
+    keep: Callable[[np.ndarray], np.ndarray],
+    max_frontier_size: int | None,
+) -> DpResult:
+    """The interval loop of :func:`pareto_dp` and :func:`brute_force_optimum`.
+
+    ``keep(rows)`` returns the ascending indices of the rows a cell keeps
+    from ``[survivors so far, next chunk]``.  Candidates come in a fixed
+    order: the one-shot merge, then the split merges by ascending ``m``,
+    left-major.  Every root row is scored with the arithmetic of
+    :func:`w2_objective`, and exact ties go to :func:`_smallest_plan`.
     """
     T, d = sched.T, data.d
-    if surrogate.d != d:
-        raise ValueError("surrogate dimension does not match data")
+    if surrogate.d != d or surrogate.interval != (1, T):
+        raise ValueError("surrogate does not match data/schedule")
     if shrink.T != T or shrink.d != d:
         raise ValueError("shrinkage profile does not match schedule/data")
-    rho = PreferenceVector.from_variances(data).rho
     single = single_step_matrix(sched, data)
 
     # entries[(t1, t2)]: frontier rows in candidate order; for t1 < t2,
@@ -211,7 +235,7 @@ def pareto_dp(
     prods: dict[int, np.ndarray] = {}  # prods[t1]: product of single steps t1..t2
     for t in range(1, T + 1):
         entries[(t, t)] = single[t - 1 : t].copy()
-        prods[t] = single[t - 1].copy()
+        prods[t] = single[t - 1]
 
     for length in range(2, T + 1):
         for t1 in range(1, T - length + 2):
@@ -233,16 +257,20 @@ def pareto_dp(
                 n_pending += len(pending[-1])
                 if n_pending < _CHUNK_ROWS and m < t2 - 1:
                     continue
-                # skyline([survivors so far, chunk]) = skyline(all candidates so far)
+                # exact as long as keep([survivors so far, chunk]) keeps the
+                # rows keep(all candidates so far) keeps, as the skyline and
+                # keep-all do
                 rows = np.concatenate([rows, *pending])
-                keep = _skyline(rows * rho)
-                new = keep[keep >= len(ptrs)] - len(ptrs)
+                kept = keep(rows)
+                n_old = np.searchsorted(kept, len(ptrs))  # ascending: kept survivors first
+                new = kept[n_old:] - len(ptrs)
                 first, ms, n_right = np.array(splits).T
                 s = np.searchsorted(first, new, side="right") - 1
                 i, j = np.divmod(new - first[s], n_right[s])
                 new_ptrs = np.column_stack([ms[s], i, j])
-                ptrs = np.concatenate([ptrs[keep[keep < len(ptrs)]], new_ptrs])
-                rows = rows[keep]
+                # np.take copies rows about 3x faster than fancy indexing
+                ptrs = np.concatenate([np.take(ptrs, kept[:n_old], axis=0), new_ptrs])
+                rows = np.take(rows, kept, axis=0)
                 pending, splits, n_pending = [], [], 0
 
             if max_frontier_size is not None and len(rows) > max_frontier_size:
@@ -256,9 +284,8 @@ def pareto_dp(
             back[(t1, t2)] = ptrs
 
     root = entries[(1, T)]
-    objectives = np.array(
-        [float(np.dot(surrogate.entries - e, surrogate.entries - e)) for e in root]
-    )
+    # ndarray.dot runs np.dot's routine (same bits) without its per-call dispatch
+    objectives = np.array([float(diff.dot(diff)) for diff in surrogate.entries - root])
     best_obj = float(np.min(objectives))
     idx, plan = _smallest_plan(back, T, np.flatnonzero(objectives == best_obj))
     return DpResult(
@@ -368,56 +395,15 @@ def brute_force_optimum(
 ) -> BruteForceResult:
     """Exhaustive minimum over every plan shape.
 
-    Independent oracle for the DP: it never prunes.  Each interval holds the
-    entries of all its plans as one array, built bottom-up in plan
-    enumeration order (the one-shot merge, then the splits by ascending
-    ``m``, left-major) with the arithmetic of :func:`pareto_dp` but without
-    its skyline, chunking or pointer remapping.  Each row keeps a
-    back-pointer ``(m, i, j)`` as in :func:`pareto_dp`.  Every root row is
-    scored with the arithmetic of :func:`w2_objective`, and exact ties go to
-    the lexicographically smallest serialized plan over all plans
-    (:func:`_smallest_plan`).  Guarded to ``T <= MAX_BRUTE_FORCE_T``.
+    Oracle for the DP: the DP's interval loop with a keep-all step, so every
+    interval holds the entries of all its plans, in plan enumeration order,
+    with :func:`pareto_dp`'s arithmetic and back-pointers.  Every root row is
+    scored, and exact ties go to the lexicographically smallest serialized
+    plan over all plans (:func:`_smallest_plan`).  ``TestArrayOracle`` holds
+    it to an independent object loop over plans bit for bit.  Guarded to
+    ``T <= MAX_BRUTE_FORCE_T``.
     """
-    T, d = sched.T, data.d
-    if T > MAX_BRUTE_FORCE_T:
-        raise ValueError(f"brute force is limited to T <= {MAX_BRUTE_FORCE_T}, got {T}")
-    if surrogate.d != d or surrogate.interval != (1, T):
-        raise ValueError("surrogate does not match data/schedule")
-    if shrink.T != T or shrink.d != d:
-        raise ValueError("shrinkage profile does not match schedule/data")
-    single = single_step_matrix(sched, data)
-
-    # entries[(t1, t2)]: every plan's entries; back[(t1, t2)] as in pareto_dp
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    back: dict[tuple[int, int], np.ndarray] = {}
-    prods: dict[int, np.ndarray] = {}  # prods[t1]: product of single steps t1..t2
-    for t in range(1, T + 1):
-        entries[(t, t)] = single[t - 1 : t]
-        prods[t] = single[t - 1]
-    for length in range(2, T + 1):
-        for t1 in range(1, T - length + 2):
-            t2 = t1 + length - 1
-            g = shrink.gamma_at(t2)
-            one_minus_g = 1.0 - g
-            prods[t1] = prods[t1] * single[t2 - 1]
-            blocks = [(one_minus_g * prods[t1] + g * single[t2 - 1])[None, :]]
-            ptrs = [np.zeros((1, 3), dtype=np.intp)]
-            for m in range(t1, t2):
-                left, right = entries[(t1, m)], entries[(m + 1, t2)]
-                merged = one_minus_g * (left[:, None, :] * right[None, :, :]) + g * right
-                blocks.append(merged.reshape(-1, d))
-                i, j = np.divmod(np.arange(len(left) * len(right)), len(right))
-                ptrs.append(np.column_stack([np.full_like(i, m), i, j]))
-            entries[(t1, t2)] = np.concatenate(blocks)
-            back[(t1, t2)] = np.concatenate(ptrs)
-
-    root = entries[(1, T)]
-    diffs = surrogate.entries - root
-    objectives = np.array([float(np.dot(diff, diff)) for diff in diffs])
-    best_obj = float(np.min(objectives))
-    idx, plan = _smallest_plan(back, T, np.flatnonzero(objectives == best_obj))
-    return BruteForceResult(
-        best=DiagOperator(entries=root[idx], interval=(1, T)),
-        plan=plan,
-        objective=best_obj,
-    )
+    if sched.T > MAX_BRUTE_FORCE_T:
+        raise ValueError(f"brute force is limited to T <= {MAX_BRUTE_FORCE_T}, got {sched.T}")
+    every = _interval_dp(sched, data, shrink, surrogate, lambda rows: np.arange(len(rows)), None)
+    return BruteForceResult(best=every.best, plan=every.plan, objective=every.objective)

@@ -139,15 +139,16 @@ from merge_planner import cli
 for argv in json.loads(sys.argv[1]):
     if cli.main(argv) != 0:
         sys.exit(f"merge-planner {argv} failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def _scipy_modules_after(*argvs: list[str]) -> list[str]:
-    """The ``scipy`` modules a fresh interpreter has loaded after running each CLI ``argv``.
+def _modules_after(*argvs: list[str]) -> list[str]:
+    """The modules a fresh interpreter has loaded after running each CLI ``argv``.
 
-    The test session has long since loaded SciPy (other test modules import
-    it at collection), so only a fresh interpreter shows what a command loads.
+    The test session has long since loaded SciPy and the acceptance suite
+    (other test modules import them at collection), so only a fresh
+    interpreter shows what a command loads.
     """
     src = str(Path(merge_planner.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -160,20 +161,21 @@ def _scipy_modules_after(*argvs: list[str]) -> list[str]:
 
 
 def test_plan_and_sweep_never_load_scipy(tmp_path):
-    loaded = _scipy_modules_after(
+    loaded = _modules_after(
         ["plan", "--T", "8", "--lambda", "1.05 0.7", "--out", str(tmp_path / "plan")],
         ["sweep", "--T", "8", "--lambda", "0.5 5", "--out", str(tmp_path / "sweep")],
     )
     assert (tmp_path / "plan" / "plan.txt").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
-    assert loaded == []
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert "merge_planner.verify" not in loaded
 
 
 def test_gmm_approx_loads_scipy_at_its_first_fit(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[gmm]\nk_grid = 1\nn_fit = 256\nn_mc = 512\n")
     argv = ["gmm-approx", "--config", str(cfg), "--T", "8", "--seed", "5", "--out"]
-    assert "scipy.linalg" in _scipy_modules_after(argv + [str(tmp_path / "fresh")])
+    assert "scipy.linalg" in _modules_after(argv + [str(tmp_path / "fresh")])
     assert main(argv + [str(tmp_path / "here")]) == 0
     fresh = (tmp_path / "fresh" / "gmm_approx.csv").read_bytes()
     assert fresh == (tmp_path / "here" / "gmm_approx.csv").read_bytes()

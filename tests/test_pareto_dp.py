@@ -278,6 +278,20 @@ class TestMergeMapMonotonicity:
             assert (1 - g) * x * (y + dy) + g * (y + dy) > f
 
 
+def _assert_rejects_mismatched_inputs(solve):
+    sched = make_cosine_schedule(4)
+    data = DiagGaussian([1.05, 0.95])
+    shrink = shrinkage(sched, data, 6.4)
+    surr = surrogate_target(sched, data)
+    with pytest.raises(ValueError, match="surrogate does not match"):
+        solve(sched, data, shrink, surrogate_target(sched, DiagGaussian([1.0])))
+    # the right dimension, but the target of another interval
+    with pytest.raises(ValueError, match="surrogate does not match"):
+        solve(sched, data, shrink, DiagOperator(surr.entries, (1, 3)))
+    with pytest.raises(ValueError, match="shrinkage profile does not match"):
+        solve(sched, data, shrinkage(make_cosine_schedule(5), data, 6.4), surr)
+
+
 class TestParetoDp:
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(61)
@@ -335,6 +349,9 @@ class TestParetoDp:
                 obj = w2_objective(evaluate_plan(plan, sched, data, shrink), surr)
                 assert dp.objective <= obj + 1e-12
 
+    def test_rejects_mismatched_inputs(self):
+        _assert_rejects_mismatched_inputs(pareto_dp)
+
     def test_frontier_cap_aborts(self):
         sched = make_cosine_schedule(8)
         data = DiagGaussian([1.05, 0.95])
@@ -387,6 +404,12 @@ class TestParetoDp:
         assert abs(dp.objective - bf.objective) <= 1e-12 * max(1.0, bf.objective)
         replayed = evaluate_plan(dp.plan, sched, data, shrink)
         assert w2_objective(replayed, surr) == pytest.approx(dp.objective, abs=1e-12)
+        # the plan rebuilt from back-pointers replays its row bit for bit, so
+        # the pointer remap of pruned (dp) and kept-all (bf) cells is exact
+        for result in (dp, bf):
+            replayed = evaluate_plan(result.plan, sched, data, shrink)
+            assert replayed.entries.tobytes() == result.best.entries.tobytes()
+            assert w2_objective(replayed, surr) == result.objective
 
     @settings(PROPERTY_SETTINGS, max_examples=30)
     @given(sweep_problems())
@@ -498,16 +521,7 @@ class TestBruteForce:
         assert bf.objective == dp.objective
 
     def test_rejects_mismatched_inputs(self):
-        sched = make_cosine_schedule(4)
-        data = DiagGaussian([1.05, 0.95])
-        shrink = shrinkage(sched, data, 6.4)
-        surr = surrogate_target(sched, data)
-        with pytest.raises(ValueError, match="surrogate does not match"):
-            brute_force_optimum(sched, data, shrink, surrogate_target(sched, DiagGaussian([1.0])))
-        with pytest.raises(ValueError, match="surrogate does not match"):
-            brute_force_optimum(sched, data, shrink, DiagOperator(surr.entries, (1, 3)))
-        with pytest.raises(ValueError, match="shrinkage profile does not match"):
-            brute_force_optimum(sched, data, shrinkage(make_cosine_schedule(5), data, 6.4), surr)
+        _assert_rejects_mismatched_inputs(brute_force_optimum)
 
     def test_guard(self):
         sched = make_cosine_schedule(MAX_BRUTE_FORCE_T + 1)
