@@ -14,12 +14,14 @@ split merges by split point, left-major.  Survivors keep candidate order and
 the first exact duplicate wins, as one-by-one insertion would.  Each survivor
 stores a back-pointer ``(m, i, j)`` (``m == 0``: one-shot) instead of a plan;
 tied roots are serialized from back-pointers and only the chosen plan is
-built.  The brute-force oracle runs the same interval loop, keeping every
-candidate.
+built.  The loop makes one candidate pass per interval length, over the
+cells of that length together (:func:`_interval_dp`).  The brute-force
+oracle runs the same interval loop, keeping every candidate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -53,7 +55,7 @@ MAX_BRUTE_FORCE_T = 11
 # with the cap lifted takes 25 s and peaks at 119 MB RSS on one 2-vCPU core
 DEFAULT_MAX_FRONTIER = 20_000
 
-_CHUNK_ROWS = 1 << 14  # candidate rows materialised per keep call
+_CHUNK_ROWS = 1 << 14  # a candidate group ends at the first block that reaches this many rows
 _LEAF_ROWS = 256  # rows compared pairwise at the bottom of the skyline recursion
 
 
@@ -214,11 +216,22 @@ def _interval_dp(
 ) -> DpResult:
     """The interval loop of :func:`pareto_dp` and :func:`brute_force_optimum`.
 
-    ``keep(rows)`` returns the ascending indices of the rows a cell keeps
-    from ``[survivors so far, next chunk]``.  Candidates come in a fixed
-    order: the one-shot merge, then the split merges by ascending ``m``,
-    left-major.  Every root row is scored with the arithmetic of
-    :func:`w2_objective`, and exact ties go to :func:`_smallest_plan`.
+    One candidate pass per interval length, as in :func:`scalar_dp`.  A
+    *block* is one ``(cell, a)``: ``a = 0`` the one-shot merge, ``a >= 1``
+    the split ``m = t1 + a - 1`` (left part of length ``a``).  Blocks come
+    in candidate order, cell after cell, and in a cell the one-shot merge,
+    then the splits by ascending ``m``, left-major.  A *group* of
+    consecutive blocks ends at the first block that brings it to
+    ``_CHUNK_ROWS`` rows, or at the last block of the length; its rows are
+    gathered from one array of the shorter frontiers, one index per block
+    and left row, never per candidate.  ``keep(rows)`` is called once per
+    cell part in a group, on ``[survivors the cell carried from the last
+    group, this part]``, and returns the ascending indices it keeps.
+    Groups are exact when ``keep`` of ``[kept rows of a prefix, next rows]``
+    keeps the rows ``keep`` of ``prefix + next rows`` keeps, as the skyline
+    and keep-all do.  The cap is checked as each cell ends.  Every root row
+    is scored with the arithmetic of :func:`w2_objective`, and exact ties go
+    to :func:`_smallest_plan`.
     """
     T, d = sched.T, data.d
     if surrogate.d != d or surrogate.interval != (1, T):
@@ -226,64 +239,109 @@ def _interval_dp(
     if shrink.T != T or shrink.d != d:
         raise ValueError("shrinkage profile does not match schedule/data")
     single = single_step_matrix(sched, data)
+    gamma = shrink.gamma
+    one_minus_gamma = 1.0 - gamma
 
-    # entries[(t1, t2)]: frontier rows in candidate order; for t1 < t2,
-    # back[(t1, t2)][k] = (m, i, j): row k merges entries[(t1, m)][i] with
-    # entries[(m + 1, t2)][j], or is the one-shot merge when m == 0
-    entries: dict[tuple[int, int], np.ndarray] = {}
+    # the frontiers of lengths 1..T-1, length-major in one array; by_start[:,
+    # L-1, t1-1] and by_end[:, L-1, t2-1] hold (first row, size) of the cell
+    # of length L, as in scalar_dp.  back[(t1, t2)][k] = (m, i, j): row k
+    # merges row i of (t1, m) with row j of (m + 1, t2), or is the one-shot
+    # merge when m == 0
+    rows = single.copy()
+    by_start = np.zeros((2, T, T), dtype=np.intp)
+    by_end = np.zeros((2, T, T), dtype=np.intp)
+    by_start[0, 0] = by_end[0, 0] = np.arange(T)
+    by_start[1, 0] = by_end[1, 0] = 1
     back: dict[tuple[int, int], np.ndarray] = {}
-    prods: dict[int, np.ndarray] = {}  # prods[t1]: product of single steps t1..t2
-    for t in range(1, T + 1):
-        entries[(t, t)] = single[t - 1 : t].copy()
-        prods[t] = single[t - 1]
-
+    sizes = {(t, t): 1 for t in range(1, T + 1)}
+    prods = single.copy()  # prods[t1-1]: product of single steps t1..t2
+    root = rows
     for length in range(2, T + 1):
-        for t1 in range(1, T - length + 2):
-            t2 = t1 + length - 1
-            g = shrink.gamma_at(t2)
-            one_minus_g = 1.0 - g
-            prods[t1] = prods[t1] * single[t2 - 1]
-            rows = (one_minus_g * prods[t1] + g * single[t2 - 1])[None, :]
-            ptrs = np.zeros((1, 3), dtype=np.intp)
-            pending: list[np.ndarray] = []
-            splits: list[tuple[int, int, int]] = []  # (first pending row, m, n_right)
-            n_pending = 0
-            for m in range(t1, t2):
-                left, right = entries[(t1, m)], entries[(m + 1, t2)]
-                # all split merges of this m at once, in left-major order
-                merged = one_minus_g * (left[:, None, :] * right[None, :, :]) + g * right
-                pending.append(merged.reshape(-1, d))
-                splits.append((n_pending, m, len(right)))
-                n_pending += len(pending[-1])
-                if n_pending < _CHUNK_ROWS and m < t2 - 1:
+        k = T - length + 1
+        np.multiply(prods[:k], single[length - 1 :], out=prods[:k])
+        g, one_minus_g = gamma[length - 1 :], one_minus_gamma[length - 1 :]
+        oneshot = one_minus_g * prods[:k] + g * single[length - 1 :]
+        # block (c, a) of cell c: a = 0 the one-shot merge (one dummy row),
+        # a >= 1 the splits m = c + a, left part of length a; (first, size)
+        left = np.zeros((2, k, length), dtype=np.intp)
+        right = np.zeros((2, k, length), dtype=np.intp)
+        left[1, :, 0] = right[1, :, 0] = 1
+        left[:, :, 1:] = by_start[:, : length - 1, :k].transpose(0, 2, 1)
+        right[:, :, 1:] = by_end[:, length - 2 :: -1, length - 1 :].transpose(0, 2, 1)
+        ms = np.arange(k)[:, None] + np.arange(length)
+        ms[:, 0] = 0
+        left_first, n_left = left.reshape(2, -1)
+        right_first, n_right = right.reshape(2, -1)
+        ms = ms.reshape(-1)
+        ends = np.cumsum(n_left * n_right)
+        n_blocks = len(ends)
+        ends = ends.tolist()
+        frontiers: list[np.ndarray] = []
+        carry = None  # (rows, pointers) kept so far of a cell that spans groups
+        b0 = 0
+        while b0 < n_blocks:
+            base = ends[b0 - 1] if b0 else 0
+            b1 = min(bisect_left(ends, base + _CHUNK_ROWS, b0) + 1, n_blocks)
+            # one segment per block and left row: its rows pair that left row
+            # with every right row, at positions seg_first.. of the group
+            nl = n_left[b0:b1]
+            seg_len = np.repeat(n_right[b0:b1], nl)
+            seg_first = np.cumsum(seg_len) - seg_len
+            seg_i = np.arange(len(seg_len)) - np.repeat(np.cumsum(nl) - nl, nl)
+            # (m, i, -first) per segment: a row's pointer adds (0, 0, its position)
+            seg = np.column_stack([np.repeat(ms[b0:b1], nl), seg_i, -seg_first])
+            # x, y: the left and right row of each candidate of the group
+            x = rows.take(np.repeat(left_first[b0:b1], nl) + seg_i, axis=0).repeat(seg_len, axis=0)
+            shift = np.repeat(np.repeat(right_first[b0:b1], nl) - seg_first, seg_len)
+            y = rows.take(np.arange(len(shift)) + shift, axis=0)
+            for c in range(b0 // length, (b1 - 1) // length + 1):
+                lo, hi = max(b0, c * length), min(b1, (c + 1) * length)
+                p0, p1 = (ends[lo - 1] if lo else 0) - base, ends[hi - 1] - base
+                # the bits of (1-g)*(left*right) + g*right
+                cell, r = x[p0:p1], y[p0:p1]
+                cell *= r
+                cell *= one_minus_g[c]
+                r *= g[c]
+                cell += r
+                if lo == c * length:
+                    cell[0] = oneshot[c]
+                n_old = 0 if carry is None else len(carry[0])
+                cand = cell if carry is None else np.concatenate([carry[0], cell])
+                kept = keep(cand)
+                split = kept.searchsorted(n_old)  # ascending: carried rows first
+                new = kept[split:] - n_old + p0
+                ptrs = seg.take(seg_first.searchsorted(new, side="right") - 1, axis=0)
+                ptrs[:, 2] += new
+                if len(kept) < len(cand):
+                    # np.take copies rows about 3x faster than fancy indexing
+                    cand = np.take(cand, kept, axis=0)
+                    if carry is not None:
+                        ptrs = np.concatenate([np.take(carry[1], kept[:split], axis=0), ptrs])
+                elif carry is not None:  # every row kept: kept is the identity
+                    ptrs = np.concatenate([carry[1], ptrs])
+                if hi < (c + 1) * length:
+                    carry = (cand, ptrs)
                     continue
-                # exact as long as keep([survivors so far, chunk]) keeps the
-                # rows keep(all candidates so far) keeps, as the skyline and
-                # keep-all do
-                rows = np.concatenate([rows, *pending])
-                kept = keep(rows)
-                n_old = np.searchsorted(kept, len(ptrs))  # ascending: kept survivors first
-                new = kept[n_old:] - len(ptrs)
-                first, ms, n_right = np.array(splits).T
-                s = np.searchsorted(first, new, side="right") - 1
-                i, j = np.divmod(new - first[s], n_right[s])
-                new_ptrs = np.column_stack([ms[s], i, j])
-                # np.take copies rows about 3x faster than fancy indexing
-                ptrs = np.concatenate([np.take(ptrs, kept[:n_old], axis=0), new_ptrs])
-                rows = np.take(rows, kept, axis=0)
-                pending, splits, n_pending = [], [], 0
+                carry = None
+                if max_frontier_size is not None and len(cand) > max_frontier_size:
+                    raise FrontierCapExceeded(
+                        f"frontier for interval ({c + 1},{c + length}) has {len(cand)} items "
+                        f"(cap {max_frontier_size}); the CLI and config files cannot change "
+                        "the cap: use a smaller d or T, or call "
+                        "pareto_dp(max_frontier_size=...) from Python"
+                    )
+                back[(c + 1, c + length)] = ptrs
+                sizes[(c + 1, c + length)] = len(cand)
+                frontiers.append(cand)
+            b0 = b1
+        if length == T:
+            root = frontiers[0]
+            break
+        n = np.array([len(f) for f in frontiers])
+        by_start[:, length - 1, :k] = len(rows) + np.cumsum(n) - n, n
+        by_end[:, length - 1, length - 1 :] = by_start[:, length - 1, :k]
+        rows = np.concatenate([rows, *frontiers])
 
-            if max_frontier_size is not None and len(rows) > max_frontier_size:
-                raise FrontierCapExceeded(
-                    f"frontier for interval ({t1},{t2}) has {len(rows)} items "
-                    f"(cap {max_frontier_size}); the CLI and config files cannot change "
-                    "the cap: use a smaller d or T, or call "
-                    "pareto_dp(max_frontier_size=...) from Python"
-                )
-            entries[(t1, t2)] = rows
-            back[(t1, t2)] = ptrs
-
-    root = entries[(1, T)]
     # ndarray.dot runs np.dot's routine (same bits) without its per-call dispatch
     objectives = np.array([float(diff.dot(diff)) for diff in surrogate.entries - root])
     best_obj = float(np.min(objectives))
@@ -292,7 +350,7 @@ def _interval_dp(
         best=DiagOperator(entries=root[idx], interval=(1, T)),
         plan=plan,
         objective=best_obj,
-        frontier_sizes={iv: len(rows) for iv, rows in entries.items()},
+        frontier_sizes=sizes,
     )
 
 

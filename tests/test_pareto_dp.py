@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -352,45 +353,63 @@ class TestParetoDp:
     def test_rejects_mismatched_inputs(self):
         _assert_rejects_mismatched_inputs(pareto_dp)
 
-    def test_frontier_cap_aborts(self):
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (1, "frontier for interval (1,3) has 3 items (cap 1)"),
+            (3, "frontier for interval (1,4) has 7 items (cap 3)"),
+        ],
+    )
+    def test_frontier_cap_aborts(self, cap, message):
+        # the error names the first interval, by length then start, over the cap
         sched = make_cosine_schedule(8)
         data = DiagGaussian([1.05, 0.95])
         shrink = shrinkage(sched, data, 6.4)
         surr = surrogate_target(sched, data)
         uncapped = pareto_dp(sched, data, shrink, surr)
-        assert max(uncapped.frontier_sizes.values()) > 1
-        with pytest.raises(FrontierCapExceeded):
-            pareto_dp(sched, data, shrink, surr, max_frontier_size=1)
+        assert max(uncapped.frontier_sizes.values()) > cap
+        with pytest.raises(FrontierCapExceeded, match="^" + re.escape(message)):
+            pareto_dp(sched, data, shrink, surr, max_frontier_size=cap)
 
     def test_default_cap_stops_four_dim_growth(self):
         sched = make_cosine_schedule(16)
         data = DiagGaussian([2.0, 0.5, 1.1, 0.9])
         shrink = shrinkage(sched, data, 3.2)
         surr = surrogate_target(sched, data)
-        with pytest.raises(FrontierCapExceeded, match=f"cap {DEFAULT_MAX_FRONTIER}"):
+        message = f"frontier for interval (2,14) has 22601 items (cap {DEFAULT_MAX_FRONTIER})"
+        with pytest.raises(FrontierCapExceeded, match="^" + re.escape(message)):
             pareto_dp(sched, data, shrink, surr)
 
-    def test_chunking_does_not_change_result(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunking_does_not_change_result(self, monkeypatch, chunk):
         sched = make_cosine_schedule(9)
         data = DiagGaussian([1.08, 0.95, 3.0])
         shrink = shrinkage(sched, data, 6.4)
         # shifted targets make different frontier rows optimal, so plans are
-        # rebuilt through back-pointers of many splits and chunks
+        # rebuilt through back-pointers of many splits and groups
         targets = [
             DiagOperator(entries=surrogate_target(sched, data).entries * f, interval=(1, 9))
             for f in ([1.0, 1.0, 1.0], [0.5, 1.5, 0.9], [2.0, 0.3, 1.1], [0.2, 0.2, 3.0])
         ]
         whole = [pareto_dp(sched, data, shrink, t) for t in targets]
-        # one skyline call per split and tiny skyline leaves
-        monkeypatch.setattr(dp_module, "_CHUNK_ROWS", 1)
+        oracle = brute_force_optimum(sched, data, shrink, targets[1])
+        # chunk 1: one skyline call per split; 7 and 64: groups that span
+        # cells and cells that carry survivors into the next group; tiny
+        # skyline leaves throughout
+        monkeypatch.setattr(dp_module, "_CHUNK_ROWS", chunk)
         monkeypatch.setattr(dp_module, "_LEAF_ROWS", 5)
         for target, ref in zip(targets, whole):
             chunked = pareto_dp(sched, data, shrink, target)
             assert chunked.frontier_sizes == ref.frontier_sizes
             assert format_plan(chunked.plan) == format_plan(ref.plan)
             assert chunked.objective == ref.objective
+            assert chunked.best.entries.tobytes() == ref.best.entries.tobytes()
             replayed = evaluate_plan(chunked.plan, sched, data, shrink)
             np.testing.assert_allclose(replayed.entries, chunked.best.entries, rtol=1e-12)
+        chunked = brute_force_optimum(sched, data, shrink, targets[1])
+        assert format_plan(chunked.plan) == format_plan(oracle.plan)
+        assert chunked.objective == oracle.objective
+        assert chunked.best.entries.tobytes() == oracle.best.entries.tobytes()
 
     @settings(PROPERTY_SETTINGS, max_examples=30)
     @given(dp_problems())
