@@ -15,8 +15,9 @@ the first exact duplicate wins, as one-by-one insertion would.  Each survivor
 stores a back-pointer ``(m, i, j)`` (``m == 0``: one-shot) instead of a plan;
 tied roots are serialized from back-pointers and only the chosen plan is
 built.  The loop makes one candidate pass per interval length, over the
-cells of that length together (:func:`_interval_dp`).  The brute-force
-oracle runs the same interval loop, keeping every candidate.
+cells of that length together (:func:`_interval_dp`), and one skyline call
+per group of candidates judges every cell part in it, each on its own rows.
+The brute-force oracle runs the same interval loop, keeping every candidate.
 """
 
 from __future__ import annotations
@@ -88,23 +89,48 @@ class FrontierCapExceeded(RuntimeError):
     """
 
 
-def _skyline(signed: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows no row dominates and no earlier row equals.
+def _skyline(signed: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+    """Ascending indices of the rows no row of their cell dominates and no earlier one equals.
 
-    The same rows, in the same order, as inserting them one by one.  d = 1:
-    the first argmax.  d >= 2: after a stable sort by (-x0, -x1, ..., index),
-    a row that dominates a row, or equals it at a smaller index, sorts before
-    it, and every earlier row has x0 at least as large.  So a row is dropped
-    exactly when some earlier row is >= on columns 1..d-1 (:func:`_pruned`).
+    The cells are the row ranges that begin at ``starts`` (ascending, the
+    first 0, none empty; ``None``: one cell).  In each cell, the same rows in
+    the same order as inserting them one by one.  d = 1: the first argmax.
+    d >= 2: after a sort by (-x0, -x1, ..., index), a row that dominates a
+    row, or equals it at a smaller index, sorts before it, and every earlier
+    row has x0 at least as large.  So a row is dropped exactly when some
+    earlier row of its cell is >= on columns 1..d-1 (:func:`_pruned`).  Each
+    cell is ordered by ``argsort(-x0)``; only the rows of exact x0 ties in a
+    cell, taken in index order, are re-sorted by one stable ``lexsort``.
     """
     n, d = signed.shape
-    if n <= 1:
-        return np.arange(n)
+    if n == 0:
+        return np.arange(0)
+    starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts, dtype=np.intp)
+    stops = np.append(starts[1:], n)
     if d == 1:
-        return np.array([np.argmax(signed[:, 0])])
-    order = np.lexsort(-signed[:, ::-1].T)  # stable: index breaks ties
+        x = signed[:, 0]
+        top = np.repeat(np.maximum.reduceat(x, starts), stops - starts)
+        hits = np.flatnonzero(x == top)
+        return hits[hits.searchsorted(starts)]
+    cells = list(zip(starts.tolist(), stops.tolist()))
+    neg = -signed[:, 0]
+    order = np.empty(n, dtype=np.intp)
+    for lo, hi in cells:
+        order[lo:hi] = np.argsort(neg[lo:hi])
+        order[lo:hi] += lo
+    key = neg[order]
+    tie = key[1:] == key[:-1]  # tie[p]: sorted rows p and p+1 share x0
+    tie[stops[:-1] - 1] = False  # rows of two cells are never compared
+    if tie.any():
+        runs = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))
+        idx = np.sort(order[runs])  # index order, so the stable lexsort breaks ties by index
+        cell = starts.searchsorted(idx, side="right")
+        order[runs] = idx[np.lexsort((*(-signed[idx, ::-1].T), cell))]
     rest = np.ascontiguousarray(signed[order, 1:].T)  # one contiguous row per coordinate
-    return np.sort(order[~_pruned(rest)])
+    dropped = np.empty(n, dtype=bool)
+    for lo, hi in cells:
+        dropped[lo:hi] = _pruned(rest[:, lo:hi])
+    return np.sort(order[~dropped])
 
 
 def _pruned(rest: np.ndarray) -> np.ndarray:
@@ -201,9 +227,11 @@ def pareto_dp(
     of another dimension or interval than ``(1, T)`` raises ``ValueError``.
     """
     rho = PreferenceVector.from_variances(data).rho
-    return _interval_dp(
-        sched, data, shrink, surrogate, lambda rows: _skyline(rows * rho), max_frontier_size
-    )
+
+    def keep(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return _skyline(rows * rho, starts)
+
+    return _interval_dp(sched, data, shrink, surrogate, keep, max_frontier_size)
 
 
 def _interval_dp(
@@ -211,7 +239,7 @@ def _interval_dp(
     data: DiagGaussian,
     shrink: ShrinkageProfile,
     surrogate: DiagOperator,
-    keep: Callable[[np.ndarray], np.ndarray],
+    keep: Callable[[np.ndarray, np.ndarray], np.ndarray],
     max_frontier_size: int | None,
 ) -> DpResult:
     """The interval loop of :func:`pareto_dp` and :func:`brute_force_optimum`.
@@ -224,14 +252,18 @@ def _interval_dp(
     consecutive blocks ends at the first block that brings it to
     ``_CHUNK_ROWS`` rows, or at the last block of the length; its rows are
     gathered from one array of the shorter frontiers, one index per block
-    and left row, never per candidate.  ``keep(rows)`` is called once per
-    cell part in a group, on ``[survivors the cell carried from the last
-    group, this part]``, and returns the ascending indices it keeps.
-    Groups are exact when ``keep`` of ``[kept rows of a prefix, next rows]``
-    keeps the rows ``keep`` of ``prefix + next rows`` keeps, as the skyline
-    and keep-all do.  The cap is checked as each cell ends.  Every root row
-    is scored with the arithmetic of :func:`w2_objective`, and exact ties go
-    to :func:`_smallest_plan`.
+    and left row, never per candidate.  ``keep(rows, starts)`` is called
+    once per group.  ``rows`` is ``[survivors the group's first cell carried
+    from the last group, the group's rows]`` and ``starts`` the first row of
+    each cell part (0 for the first); it returns the ascending indices it
+    keeps, each cell judged on its own rows only.  Groups are exact when
+    ``keep`` of ``[kept rows of a prefix, next rows]`` keeps the rows
+    ``keep`` of ``prefix + next rows`` keeps, as the skyline and keep-all
+    do.  The kept rows and their back-pointers are gathered once per group
+    and cut into cells.  The cap is checked as each cell ends, in cell
+    order.  Every root row is scored with the arithmetic of
+    :func:`w2_objective` (:func:`_squared_norms`), and exact ties go to
+    :func:`_smallest_plan`.
     """
     T, d = sched.T, data.d
     if surrogate.d != d or surrogate.interval != (1, T):
@@ -294,9 +326,13 @@ def _interval_dp(
             x = rows.take(np.repeat(left_first[b0:b1], nl) + seg_i, axis=0).repeat(seg_len, axis=0)
             shift = np.repeat(np.repeat(right_first[b0:b1], nl) - seg_first, seg_len)
             y = rows.take(np.arange(len(shift)) + shift, axis=0)
-            for c in range(b0 // length, (b1 - 1) // length + 1):
+            cells = range(b0 // length, (b1 - 1) // length + 1)
+            n_old = 0 if carry is None else len(carry[0])
+            starts = []  # the first row of each cell part; carried rows join the first
+            for c in cells:
                 lo, hi = max(b0, c * length), min(b1, (c + 1) * length)
                 p0, p1 = (ends[lo - 1] if lo else 0) - base, ends[hi - 1] - base
+                starts.append(p0 + n_old if starts else 0)
                 # the bits of (1-g)*(left*right) + g*right
                 cell, r = x[p0:p1], y[p0:p1]
                 cell *= r
@@ -305,34 +341,37 @@ def _interval_dp(
                 cell += r
                 if lo == c * length:
                     cell[0] = oneshot[c]
-                n_old = 0 if carry is None else len(carry[0])
-                cand = cell if carry is None else np.concatenate([carry[0], cell])
-                kept = keep(cand)
-                split = kept.searchsorted(n_old)  # ascending: carried rows first
-                new = kept[split:] - n_old + p0
-                ptrs = seg.take(seg_first.searchsorted(new, side="right") - 1, axis=0)
-                ptrs[:, 2] += new
-                if len(kept) < len(cand):
-                    # np.take copies rows about 3x faster than fancy indexing
-                    cand = np.take(cand, kept, axis=0)
-                    if carry is not None:
-                        ptrs = np.concatenate([np.take(carry[1], kept[:split], axis=0), ptrs])
-                elif carry is not None:  # every row kept: kept is the identity
-                    ptrs = np.concatenate([carry[1], ptrs])
-                if hi < (c + 1) * length:
-                    carry = (cand, ptrs)
-                    continue
-                carry = None
-                if max_frontier_size is not None and len(cand) > max_frontier_size:
+            cand = x if carry is None else np.concatenate([carry[0], x])
+            starts = np.array(starts)
+            kept = keep(cand, starts)
+            split = kept.searchsorted(n_old)  # ascending: carried rows first
+            new = kept[split:] - n_old
+            ptrs = seg.take(seg_first.searchsorted(new, side="right") - 1, axis=0)
+            ptrs[:, 2] += new
+            if len(kept) < len(cand):
+                # np.take copies rows about 3x faster than fancy indexing
+                cand = np.take(cand, kept, axis=0)
+                if carry is not None:
+                    ptrs = np.concatenate([np.take(carry[1], kept[:split], axis=0), ptrs])
+            elif carry is not None:  # every row kept: kept is the identity
+                ptrs = np.concatenate([carry[1], ptrs])
+            cuts = [*kept.searchsorted(starts).tolist(), len(kept)]
+            carry = None
+            for c, i0, i1 in zip(cells, cuts, cuts[1:]):
+                front, front_ptrs = cand[i0:i1], ptrs[i0:i1]
+                if b1 < (c + 1) * length:
+                    carry = (front, front_ptrs)
+                    break
+                if max_frontier_size is not None and len(front) > max_frontier_size:
                     raise FrontierCapExceeded(
-                        f"frontier for interval ({c + 1},{c + length}) has {len(cand)} items "
+                        f"frontier for interval ({c + 1},{c + length}) has {len(front)} items "
                         f"(cap {max_frontier_size}); the CLI and config files cannot change "
                         "the cap: use a smaller d or T, or call "
                         "pareto_dp(max_frontier_size=...) from Python"
                     )
-                back[(c + 1, c + length)] = ptrs
-                sizes[(c + 1, c + length)] = len(cand)
-                frontiers.append(cand)
+                back[(c + 1, c + length)] = front_ptrs
+                sizes[(c + 1, c + length)] = len(front)
+                frontiers.append(front)
             b0 = b1
         if length == T:
             root = frontiers[0]
@@ -342,8 +381,7 @@ def _interval_dp(
         by_end[:, length - 1, length - 1 :] = by_start[:, length - 1, :k]
         rows = np.concatenate([rows, *frontiers])
 
-    # ndarray.dot runs np.dot's routine (same bits) without its per-call dispatch
-    objectives = np.array([float(diff.dot(diff)) for diff in surrogate.entries - root])
+    objectives = _squared_norms(surrogate.entries - root)
     best_obj = float(np.min(objectives))
     idx, plan = _smallest_plan(back, T, np.flatnonzero(objectives == best_obj))
     return DpResult(
@@ -352,6 +390,16 @@ def _interval_dp(
         objective=best_obj,
         frontier_sizes=sizes,
     )
+
+
+def _squared_norms(diff: np.ndarray) -> np.ndarray:
+    """``float(row.dot(row))`` of every row, bit for bit.
+
+    A stacked ``(1, d) @ (d, 1)`` matmul runs the dot routine of ``np.dot``
+    on each row; a sum of squares such as ``einsum("ij,ij->i")`` rounds
+    differently at d >= 2.
+    """
+    return np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1)
 
 
 def scalar_dp(single: np.ndarray, gamma: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -463,5 +511,7 @@ def brute_force_optimum(
     """
     if sched.T > MAX_BRUTE_FORCE_T:
         raise ValueError(f"brute force is limited to T <= {MAX_BRUTE_FORCE_T}, got {sched.T}")
-    every = _interval_dp(sched, data, shrink, surrogate, lambda rows: np.arange(len(rows)), None)
+    every = _interval_dp(
+        sched, data, shrink, surrogate, lambda rows, starts: np.arange(len(rows)), None
+    )
     return BruteForceResult(best=every.best, plan=every.plan, objective=every.objective)

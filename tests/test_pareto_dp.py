@@ -24,6 +24,7 @@ from merge_planner.pareto_dp import (
     pareto_dp,
     scalar_dp,
     _skyline,
+    _squared_norms,
 )
 from merge_planner.schedule import NoiseSchedule, make_cosine_schedule, validate_schedule
 from merge_planner.strategy import (
@@ -74,6 +75,17 @@ def _random_schedule(draw, T):
     alpha[-1] = 0.0
     alpha = np.concatenate([[1.0], alpha])
     return NoiseSchedule(alpha=alpha, sigma=np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)))
+
+
+@st.composite
+def celled_integer_rows(draw):
+    """(n, d) integer-valued rows and ascending cell starts (the first 0, no cell empty)."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 60))
+    values = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+    signed = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=6)) if n > 1 else set()
+    return signed, np.array([0, *sorted(cuts)])
 
 
 @st.composite
@@ -230,6 +242,27 @@ class TestSkyline:
                 mp.setattr(dp_module, "_LEAF_ROWS", leaf)
                 assert _skyline(signed).tolist() == expected
 
+    @PROPERTY_SETTINGS
+    @given(celled_integer_rows())
+    def test_cells_match_quadratic_oracle_per_cell(self, case):
+        signed, starts = case
+        stops = [*starts[1:], len(signed)]
+        expected = [lo + k for lo, hi in zip(starts, stops) for k in _skyline_oracle(signed[lo:hi])]
+        for leaf in (None, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                if leaf is not None:
+                    mp.setattr(dp_module, "_LEAF_ROWS", leaf)
+                assert _skyline(signed, starts).tolist() == expected
+
+    def test_quicksort_ties_out_of_index_order(self):
+        # argsort(-x0) need not keep tied rows in index order (NumPy 2.4 puts
+        # row 6 before row 4 here); rows 4 and 6 are equal and beat every
+        # other row, so the first of them, 4, is the one survivor
+        signed = np.column_stack([np.tile([1.0, 0.0], 10), np.zeros(20)])
+        signed[[4, 6], 1] = 1.0
+        assert _skyline(signed).tolist() == [4]
+        assert _skyline(signed, np.array([0, 3])).tolist() == [0, 4]
+
     def test_last_leaf_of_one_row(self, monkeypatch):
         # sorted by x descending; with 3-row leaves the last row is in the second half
         signed = np.array([[3.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -247,7 +280,7 @@ class TestSkyline:
             for case in [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
         ],
     )
-    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
+    def test_large_skyline_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
         """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
 
         Rows near the hyperplane where the coordinates sum to 0 give large
@@ -265,6 +298,15 @@ class TestSkyline:
             monkeypatch.setattr(dp_module, "_LEAF_ROWS", leaf)
         assert n // dp_module._LEAF_ROWS >= 2  # the recursion splits
         assert _skyline(signed).tolist() == expected
+
+
+class TestSquaredNorms:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_per_row_dot_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        diff = rng.normal(size=(5000, d)) * rng.choice([1e-8, 1e-3, 1.0, 1e3], size=(5000, 1))
+        expected = np.array([float(row.dot(row)) for row in diff])
+        assert _squared_norms(diff).tobytes() == expected.tobytes()
 
 
 class TestMergeMapMonotonicity:
