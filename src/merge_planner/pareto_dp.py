@@ -107,12 +107,9 @@ def _skyline(signed: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray
         return np.arange(0)
     starts = np.zeros(1, dtype=np.intp) if starts is None else np.asarray(starts, dtype=np.intp)
     stops = np.append(starts[1:], n)
-    if d == 1:
-        x = signed[:, 0]
-        top = np.repeat(np.maximum.reduceat(x, starts), stops - starts)
-        hits = np.flatnonzero(x == top)
-        return hits[hits.searchsorted(starts)]
     cells = list(zip(starts.tolist(), stops.tolist()))
+    if d == 1:
+        return np.array([lo + np.argmax(signed[lo:hi, 0]) for lo, hi in cells])
     neg = -signed[:, 0]
     order = np.empty(n, dtype=np.intp)
     for lo, hi in cells:
@@ -369,7 +366,9 @@ def _interval_dp(
                         "the cap: use a smaller d or T, or call "
                         "pareto_dp(max_frontier_size=...) from Python"
                     )
-                back[(c + 1, c + length)] = front_ptrs
+                # a copy: a view would keep the group's whole pointer array alive,
+                # with the stale pointers of a cell carried to the next group
+                back[(c + 1, c + length)] = front_ptrs.copy()
                 sizes[(c + 1, c + length)] = len(front)
                 frontiers.append(front)
             b0 = b1
