@@ -280,7 +280,7 @@ class TestSkyline:
             for case in [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
         ],
     )
-    def test_large_skyline_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
+    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
         """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
 
         Rows near the hyperplane where the coordinates sum to 0 give large
