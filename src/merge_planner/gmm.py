@@ -529,12 +529,18 @@ class NoisySampler:
     """Ancestral sampler for the noisy marginal at level ``t``.
 
     Draws a component, a clean sample from it, then adds isotropic noise:
-    ``z = alpha_t x0 + sigma_t eps``.  Compares and hashes by identity.
+    ``z = alpha_t x0 + sigma_t eps``, for ``t`` in ``0..T``.  Compares and
+    hashes by identity.
     """
 
     gmm: GaussianMixture
     sched: NoiseSchedule
     t: int
+
+    def __post_init__(self) -> None:
+        # a negative level would index the schedule from its end
+        if not 0 <= self.t <= self.sched.T:
+            raise ValueError(f"t must be in [0, {self.sched.T}], got {self.t}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         gm = self.gmm
@@ -565,8 +571,8 @@ class _FittingSet:
     The gating runs on the first pass, chunk by chunk at the ``_chunk_size``
     boundaries, and keeps only the per-stage weights: n x sum(K_j) doubles,
     not the n x prod(K_j) expansion weights.  Every pass forms the product
-    again per chunk, so it has the bits of ``expansion.gating.weights`` on
-    that chunk.
+    again per chunk, component-major, except that a set of one chunk keeps
+    its product for the next pass.
     """
 
     def __init__(self, expansion: MoeOperator, samples) -> None:
@@ -576,17 +582,38 @@ class _FittingSet:
         self.expansion = expansion
         self.samples = samples
         self._chunks: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+        self._kept: np.ndarray | None = None
 
     def weights(self):
-        """Yield ``(z, w)`` per chunk: the samples and their ``(m, C)`` expansion weights."""
+        """Yield ``(z, wT)`` per chunk: the ``(m, d)`` samples and their C-contiguous ``(C, m)`` weights.
+
+        ``wT`` has the bits of ``expansion.gating.weights(z).T``, and is read
+        only.  Each product of stage weights is one IEEE multiply, as in
+        ``PathGating.combine``, broadcast along contiguous sample rows; with
+        a ``membership`` the sum by cluster runs sample-major, as there.
+        """
+        gating = self.expansion.gating
         if self._chunks is None:
             chunk = _chunk_size(self.expansion.n_experts)
             self._chunks = []
             for lo in range(0, self.samples.shape[0], chunk):
                 z = self.samples[lo : lo + chunk]
-                self._chunks.append((z, self.expansion.gating.stage_weights(z)))
+                self._chunks.append((z, gating.stage_weights(z)))
+        if self._kept is not None:
+            yield self._chunks[0][0], self._kept
+            return
         for z, stages in self._chunks:
-            yield z, self.expansion.gating.combine(stages)
+            if gating.membership is not None:
+                wT = np.ascontiguousarray(gating.combine(stages).T)
+            else:
+                wT = np.ascontiguousarray(stages[0].T)
+                for stage_w in stages[1:]:
+                    stage_T = np.ascontiguousarray(stage_w.T)
+                    wT = (wT[:, None, :] * stage_T[None, :, :]).reshape(-1, z.shape[0])
+            wT.setflags(write=False)
+            if len(self._chunks) == 1:
+                self._kept = wT
+            yield z, wT
 
 
 def _fitting_set(expansion: MoeOperator, samples) -> _FittingSet:
@@ -706,21 +733,23 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     qfull = np.zeros(K)
     cquad = np.zeros(K)
 
-    for z, w in fitting.weights():
+    for z, wT in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
         # the contractions are the matmuls ``np.einsum(..., optimize=True)``
         # runs for ``cij,mj->mci`` (g), ``mc,mci->mi`` (Sk) and ``m,mi,mj->ij`` (H)
-        g = (z @ expansion.A.transpose(2, 0, 1).reshape(d, C * d)).reshape(m, C, d) + expansion.b
-        # component-major copies: a cluster's operands are contiguous row
-        # blocks whose transposes have the strides of the fancy gathers
-        # ``w[:, idx]`` and ``g[:, idx, :]``, so every BLAS call and every
-        # flat sum adds in the gathers' order; a C-order block (``np.take``)
-        # reorders the flat ``qfull`` sum and changes its bits
-        gT = g.transpose(1, 0, 2).copy()  # (C, m, d)
+        g = (z @ expansion.A.transpose(2, 0, 1).reshape(d, C * d)).reshape(m, C, d)
+        g += expansion.b
+        # component-major operands: a cluster's are contiguous row blocks
+        # whose transposes have the strides of the fancy gathers ``w[:, idx]``
+        # and ``g[:, idx, :]``, so every BLAS call and every flat sum adds in
+        # the gathers' order; a C-order block (``np.take``) reorders the flat
+        # ``qfull`` sum and changes its bits.  ``gT`` is one transposed copy
+        # of whole d-double expert outputs, through a void view.
+        item = np.dtype((np.void, 8 * d))
+        gT = g.view(item).reshape(m, C).T.copy().view(np.float64).reshape(C, m, d)
         del g
         gsqT = _rowsum(gT * gT)  # (C, m)
-        wT = w.T.copy()  # (C, m)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
@@ -754,8 +783,11 @@ def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _component_masses(fitting: _FittingSet) -> np.ndarray:
     total = np.zeros(fitting.expansion.n_experts)
-    for _, w in fitting.weights():
-        total += np.sum(w, axis=0)
+    for _, wT in fitting.weights():
+        # in the order of ``np.sum(w, axis=0)``: sample by sample, where a row
+        # sum of ``wT`` would add pairwise and change bits, except that NumPy
+        # sums a lone column pairwise too
+        total += np.sum(wT, axis=1) if len(wT) == 1 else np.cumsum(wT, axis=1)[:, -1]
     return total / fitting.samples.shape[0]
 
 

@@ -1,11 +1,12 @@
 """Test-side reference: the gather-loop cluster moments.
 
-The library's ``_cluster_moments`` copies each chunk's expert outputs and
-weights component-major once and reads every cluster as a block of rows,
-with the matmuls ``np.einsum(..., optimize=True)`` runs written out.  The
-code here is the form that replaced: per cluster, fancy gathers of the
-sample-major arrays and the optimized einsum on them.  It is kept as the
-bit-identity reference the tests compare against.
+The library's ``_cluster_moments`` reads each chunk's weights and expert
+outputs component-major and every cluster as a block of rows, with the
+matmuls ``np.einsum(..., optimize=True)`` runs written out.  The code here
+is the form that replaced: per cluster, fancy gathers of the sample-major
+arrays and the optimized einsum on them, with each chunk's weights taken
+from the public ``expansion.gating.weights``, not from the fitting set.  It
+is kept as the bit-identity reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ def cluster_moments(fitting, groups: Sequence[np.ndarray]):
     qfull = np.zeros(K)
     cquad = np.zeros(K)
 
-    for z, w in fitting.weights():
+    for z, _ in fitting.weights():  # only for the chunk boundaries
+        w = expansion.gating.weights(z)  # (m, C), sample-major
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
         g = np.einsum("cij,mj->mci", expansion.A, z, optimize=True) + expansion.b

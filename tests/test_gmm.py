@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +712,17 @@ class TestSampler:
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=0.05)
         np.testing.assert_allclose(np.cov(z.T), np.eye(2), atol=0.05)
 
+    @pytest.mark.parametrize("t", [-1, -32, 33, 100])
+    def test_level_outside_schedule_rejected(self, sched32, circle8, t):
+        # -1 used to draw from level 32, and 33 raised a bare IndexError at sampling
+        with pytest.raises(ValueError, match=rf"t must be in \[0, 32\], got {t}$"):
+            NoisySampler(gmm=circle8, sched=sched32, t=t)
+
+    @pytest.mark.parametrize("t", [0, 32])
+    def test_both_ends_of_schedule_accepted(self, sched32, circle8, t):
+        z = NoisySampler(gmm=circle8, sched=sched32, t=t).sample(4, np.random.default_rng(44))
+        assert z.shape == (4, 2)
+
 
 class TestGatingOnce:
     def test_distill_chain_gates_each_fitting_set_once(self, monkeypatch, sched32, circle8):
@@ -765,11 +777,12 @@ class TestGatingOnce:
         )
         self._assert_same_fit(fit, fit_cluster_student(expansion, partition, samples))
         assert fit.student.gating.membership.shape == (K**steps, len(partition))
-        # each chunk's weights have the bits of gating that chunk directly
+        # each chunk's component-major weights have the bits of gating that
+        # chunk directly, transposed
         chunks = list(gmm_module._FittingSet(expansion, samples).weights())
         assert [z.shape[0] for z, _ in chunks] == [100, 100, 100, 50]
-        for z, w in chunks:
-            assert w.tobytes() == expansion.gating.weights(z).tobytes()
+        for z, wT in chunks:
+            assert wT.tobytes() == expansion.gating.weights(z).T.tobytes()
 
     def test_propagate_item_gates_audit_stages_once(self, monkeypatch, tmp_path):
         calls = []
@@ -1156,6 +1169,93 @@ class TestClusterMoments:
         _assert_same_moments(
             gmm_module._cluster_moments(fitting512, groups), cluster_moments(fitting512, groups)
         )
+
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("chunk", [256, 8192])
+    def test_matches_reference_at_other_dimensions(self, monkeypatch, d, chunk):
+        # ``gT`` is copied as whole d-double items, so the item size follows d
+        monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: chunk)
+        rng = np.random.default_rng(40 + d)
+        gmm = _random_mixture(rng, 5, d)
+        sched = make_cosine_schedule(10)
+        expansion = compose_expand([single_step_moe(gmm, sched, t) for t in (6, 5)])
+        samples = NoisySampler(gmm=gmm, sched=sched, t=6).sample(700, rng)
+        fitting = gmm_module._FittingSet(expansion, samples)
+        assert len(list(fitting.weights())) == (3 if chunk == 256 else 1)
+        labels = rng.integers(0, 4, size=25)
+        groups = [np.flatnonzero(labels == k) for k in range(5)]  # group 4 is empty
+        _assert_same_moments(
+            gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _TableGating(PathGating):
+    """Stage weights read from fixed tables, at the row a sample's first coordinate names."""
+
+    tables: tuple = ()
+
+    def stage_weights(self, z2):
+        rows = z2[:, 0].astype(np.intp)
+        return [table[rows] for table in self.tables]
+
+
+def _table_fitting_set(stages, membership=None):
+    """A fitting set over ``len(stages[0])`` samples whose gating returns ``stages``."""
+    n = stages[0].shape[0]
+    C = int(np.prod([w.shape[1] for w in stages]))
+    expansion = MoeOperator(
+        A=np.zeros((C, 1, 1)),
+        b=np.zeros((C, 1)),
+        gating=_TableGating(ops=(), membership=membership, tables=tuple(stages)),
+        interval=(1, 1),
+    )
+    return gmm_module._FittingSet(expansion, np.arange(n, dtype=np.float64)[:, None])
+
+
+class TestFittingSetLayout:
+    """The fitting set is component-major and keeps the bits of the sample-major gating."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=150)
+    @given(data=st.data())
+    def test_chunks_are_the_transposed_gating_weights(self, data):
+        stages = data.draw(_stage_weights())
+        stages = stages[: data.draw(st.integers(1, len(stages)))]  # 1 to 3 stages
+        n = stages[0].shape[0]
+        C = int(np.prod([w.shape[1] for w in stages]))
+        membership = None
+        if data.draw(st.booleans()):
+            labels = np.random.default_rng(C).integers(0, 3, size=C)
+            membership = (labels[:, None] == np.arange(3)).astype(np.float64)
+        chunk = data.draw(st.integers(1, n + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gmm_module, "_chunk_size", lambda n_components: chunk)
+            fitting = _table_fitting_set(stages, membership)
+            gating = fitting.expansion.gating
+            lows = list(range(0, n, chunk))
+            for _ in range(2):  # the second pass reads what the first kept
+                chunks = list(fitting.weights())
+                assert [z.shape[0] for z, _ in chunks] == [min(chunk, n - lo) for lo in lows]
+                for z, wT in chunks:
+                    assert wT.flags["C_CONTIGUOUS"] and not wT.flags["WRITEABLE"]
+                    want = gating.weights(z).T
+                    assert wT.shape == want.shape == ((3 if membership is not None else C), z.shape[0])
+                    assert wT.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [37, 1024])
+    @pytest.mark.parametrize("C", [1, 8, 64, 512])
+    def test_component_masses_sum_sample_by_sample(self, monkeypatch, C, chunk):
+        monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: chunk)
+        rng = np.random.default_rng(C)
+        n = 1000
+        w = rng.random((n, C)) * 10.0 ** rng.integers(-12, 1, size=(n, C))
+        w[rng.random(n) < 0.1] = 0.0
+        fitting = _table_fitting_set([w])
+        want = np.zeros(C)
+        for lo in range(0, n, chunk):
+            want += np.sum(w[lo : lo + chunk], axis=0)
+        assert gmm_module._component_masses(fitting).tobytes() == (want / n).tobytes()
 
 
 @st.composite
