@@ -585,12 +585,13 @@ class _FittingSet:
         self._kept: np.ndarray | None = None
 
     def weights(self):
-        """Yield ``(z, wT)`` per chunk: the ``(m, d)`` samples and their C-contiguous ``(C, m)`` weights.
+        """Yield ``(z, wT)`` per chunk: the ``(m, d)`` samples and their ``(C, m)`` weights.
 
-        ``wT`` has the bits of ``expansion.gating.weights(z).T``, and is read
-        only.  Each product of stage weights is one IEEE multiply, as in
-        ``PathGating.combine``, broadcast along contiguous sample rows; with
-        a ``membership`` the sum by cluster runs sample-major, as there.
+        ``wT`` is C-contiguous, has the bits of
+        ``expansion.gating.weights(z).T`` and is read only.  Each product of
+        stage weights is one IEEE multiply, as in ``PathGating.combine``,
+        broadcast along contiguous sample rows; with a ``membership`` the sum
+        by cluster runs sample-major, as there.
         """
         gating = self.expansion.gating
         if self._chunks is None:
@@ -723,6 +724,11 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     ``(K, d+1, d+1)`` sums ``W u u^T``, ``R`` ``(K, d, d+1)`` sums ``S u^T``,
     ``qfull`` sums ``sum_{c in S} w_c |g_c|^2`` and ``cquad`` sums
     ``|S|^2 / W``.  An empty group keeps zero moments.
+
+    Works component-major: it reads each chunk's ``(C, m)`` weights as the
+    fitting set yields them, with no copy, and lays the expert outputs out
+    as ``(C, m, d)``, so each cluster is a block of rows.  The bits are
+    those of the per-cluster gathers of sample-major arrays.
     """
     d = fitting.samples.shape[1]
     expansion = fitting.expansion

@@ -1240,7 +1240,8 @@ class TestFittingSetLayout:
                 for z, wT in chunks:
                     assert wT.flags["C_CONTIGUOUS"] and not wT.flags["WRITEABLE"]
                     want = gating.weights(z).T
-                    assert wT.shape == want.shape == ((3 if membership is not None else C), z.shape[0])
+                    width = C if membership is None else 3
+                    assert wT.shape == want.shape == (width, z.shape[0])
                     assert wT.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chunk", [37, 1024])
