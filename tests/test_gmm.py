@@ -589,6 +589,23 @@ class TestMcLoss:
             mc_distillation_loss(op, None, sampler, 100)
 
 
+@pytest.fixture(scope="module")
+def student_k3(sched32, circle8):
+    """A circle-8 student of three steps (512 components), and the sampler at its input."""
+    ops = [single_step_moe(circle8, sched32, t) for t in (32, 31, 30)]
+    sampler = NoisySampler(gmm=circle8, sched=sched32, t=32)
+    samples = sampler.sample(1024, np.random.default_rng(23))
+    return gmm_module._compress(compose_expand(ops), samples, n_clusters=8).student, sampler
+
+
+class TestMcLossMemory:
+    def test_k3_loss_bits(self, student_k3):
+        # frozen at ac79c37, before the student's gating was formed in row blocks
+        student, sampler = student_k3
+        est = mc_distillation_loss(student, None, sampler, 10_000, seed=3)
+        assert (est.mean.hex(), est.stderr.hex()) == ("0x1.baf4ca5f7fe46p-21", "0x1.1eaba13565f3dp-25")
+
+
 class TestLipschitz:
     def test_affine_operator_spectral_norm(self, sched32):
         rng = np.random.default_rng(14)
