@@ -65,6 +65,9 @@ _PARTITION_TIE_RTOL = 1e-12
 # the audit's Lipschitz estimate: perturbed pairs, and the perturbation scale
 _LIPSCHITZ_PAIRS = 2048
 _LIPSCHITZ_SCALE = 1e-3
+# OpenBLAS's small-matrix bound: it sends a GEMM with M N K <= 100^3 to a
+# small-matrix kernel that rounds differently (0.3.31, DGEMM)
+_SMALL_GEMM = 100**3
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +307,13 @@ class PosteriorGating:
         return posterior_weights(self.gmm, self.sched, self.t, z2)
 
 
+def _outer(stages: Sequence[np.ndarray]) -> np.ndarray:
+    w = stages[0]
+    for stage_w in stages[1:]:
+        w = np.einsum("ni,nj->nij", w, stage_w).reshape(w.shape[0], -1)
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class PathGating:
     """Weights of an expanded composition: products of stagewise gatings.
@@ -355,11 +365,26 @@ class PathGating:
         ``einsum`` loop per row, with the bits of the broadcast product
         ``w[:, :, None] * stage_w[:, None, :]`` except that it writes +0.0
         for a -0.0 product; gating weights are never -0.0.
+
+        With a ``membership`` of shape ``(C, K)`` the ``(n, C)`` products are
+        formed and summed by cluster in blocks of ``_SMALL_GEMM // (C K) + 1``
+        rows (245 at C = 512, K = 8: about 1 MiB of products), the last
+        block taking the remainder, so the whole product is never held.
+        Every block stays above the small-matrix bound, on the GEMM path the
+        whole product takes, whose per-element summation order does not
+        depend on the row count: the result has the bits of
+        ``outer(stages) @ membership`` formed in one call.  Fewer than two
+        blocks' rows are summed in one call.
         """
-        w = stages[0]
-        for stage_w in stages[1:]:
-            w = np.einsum("ni,nj->nij", w, stage_w).reshape(w.shape[0], -1)
-        return w if self.membership is None else w @ self.membership
+        if self.membership is None:
+            return _outer(stages)
+        n, (C, K) = stages[0].shape[0], self.membership.shape
+        rows = _SMALL_GEMM // (C * K) + 1
+        edges = [rows * i for i in range(max(n // rows, 1))] + [n]
+        out = np.empty((n, K))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            np.matmul(_outer([w[lo:hi] for w in stages]), self.membership, out=out[lo:hi])
+        return out
 
     def weights(self, z2: np.ndarray) -> np.ndarray:
         return self.combine(self.stage_weights(z2))

@@ -407,6 +407,9 @@ def run_ablation(cfg: ExperimentConfig) -> AblationResult:
     """
     if cfg.schedule != "cosine":
         raise ValueError("sweeps are defined on the built-in cosine schedule")
+    for name, grid in (("T_grid", cfg.T_grid), ("s_grid", cfg.s_grid)):
+        if grid is not None and not grid:
+            raise ValueError(f"{name} must be non-empty")
     T_values = cfg.T_grid if cfg.T_grid is not None else (cfg.T,)
     s_values = cfg.s_grid if cfg.s_grid is not None else (cfg.s_train,)
     sweeps: dict[tuple[int, float], SweepResult] = {}
@@ -569,6 +572,13 @@ def _child_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+def _check_sample_counts(cfg: ExperimentConfig) -> None:
+    if cfg.n_fit < 1:
+        raise ValueError(f"n_fit must be at least 1, got {cfg.n_fit}")
+    if cfg.n_mc < 2:
+        raise ValueError(f"n_mc must be at least 2 for a standard error, got {cfg.n_mc}")
+
+
 def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
     """Clustering bound and Monte-Carlo loss for each composition horizon k.
 
@@ -577,6 +587,9 @@ def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
     normal); horizons whose expansion would exceed the cap are emitted as
     flagged rows rather than dropped.
     """
+    if not cfg.k_grid:
+        raise ValueError("k_grid must be non-empty")
+    _check_sample_counts(cfg)
     gmm = resolve_mixture(cfg)
     sched = resolve_schedule(cfg)
     t_hi = cfg.start_t if cfg.start_t is not None else sched.T
@@ -636,6 +649,7 @@ def run_gmm_propagate(cfg: ExperimentConfig) -> PropagateResult:
     pair.  The audit measures every term of the propagation bound by Monte
     Carlo on shared samples.
     """
+    _check_sample_counts(cfg)
     gmm = resolve_mixture(cfg)
     sched = resolve_schedule(cfg)
     T = sched.T

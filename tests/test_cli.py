@@ -119,6 +119,37 @@ def test_invalid_lambda_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["gmm-approx", "--k-grid", ","], "k_grid"),
+        (["sweep", "--T-grid", ","], "T_grid"),
+        (["sweep", "--s-grid", ","], "s_grid"),
+    ],
+)
+def test_empty_grid_is_a_usage_error(tmp_path, capsys, argv, grid):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"merge-planner: error: {grid} must be non-empty" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gmm-approx", "gmm-propagate"])
+def test_too_few_samples_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[gmm]\nn_fit = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "merge-planner: error: n_fit must be at least 1, got 0" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # a one-item cap, so the first two-item frontier of this d = 2 plan overflows at once
     monkeypatch.setattr(report, "pareto_dp", functools.partial(pareto_dp, max_frontier_size=1))

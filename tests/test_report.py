@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from merge_planner import report as report_module
 from merge_planner.report import (
     ExperimentConfig,
     _canonical_plans,
@@ -190,6 +191,13 @@ class TestAblation:
         result = run_ablation(cfg)
         assert set(result.sweeps) == {(4, 3.2)}
 
+    @pytest.mark.parametrize("grid", ["T_grid", "s_grid"])
+    def test_empty_grid_rejected(self, tmp_path, grid):
+        cfg = ExperimentConfig(kind="sweep", lam_values=(1.0,), out_dir=tmp_path, **{grid: ()})
+        with pytest.raises(ValueError, match=f"^{grid} must be non-empty$"):
+            run_ablation(cfg)
+        assert not any(tmp_path.iterdir())
+
     def test_config_file_keys(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[sweep]\nT_grid = 8 16\ns_grid = 1.6\n")
@@ -269,6 +277,30 @@ class TestRunPlan:
 
 
 class TestGmmRunners:
+    @pytest.mark.parametrize("run", [run_gmm_approx, run_gmm_propagate])
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"n_fit": 0}, "n_fit must be at least 1, got 0"),
+            ({"n_fit": -5}, "n_fit must be at least 1, got -5"),
+            ({"n_mc": 1}, "n_mc must be at least 2 for a standard error, got 1"),
+            ({"n_mc": 0}, "n_mc must be at least 2 for a standard error, got 0"),
+        ],
+    )
+    def test_too_few_samples_rejected_up_front(self, tmp_path, monkeypatch, run, counts, message):
+        def no_mixture(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(report_module, "resolve_mixture", no_mixture)
+        cfg = ExperimentConfig(T=10, out_dir=tmp_path, **counts)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(cfg)
+
+    def test_empty_horizon_grid_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^k_grid must be non-empty$"):
+            run_gmm_approx(ExperimentConfig(k_grid=(), out_dir=tmp_path))
+        assert not (tmp_path / "gmm_approx.csv").exists()
+
     def test_approx_rows_and_monotonicity(self, tmp_path):
         cfg = ExperimentConfig(
             kind="gmm-approx",
