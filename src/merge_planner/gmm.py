@@ -366,15 +366,14 @@ class PathGating:
         ``w[:, :, None] * stage_w[:, None, :]`` except that it writes +0.0
         for a -0.0 product; gating weights are never -0.0.
 
-        With a ``membership`` of shape ``(C, K)`` the ``(n, C)`` products are
-        formed and summed by cluster in blocks of ``_SMALL_GEMM // (C K) + 1``
-        rows (245 at C = 512, K = 8: about 1 MiB of products), the last
-        block taking the remainder, so the whole product is never held.
-        Every block stays above the small-matrix bound, on the GEMM path the
-        whole product takes, whose per-element summation order does not
-        depend on the row count: the result has the bits of
-        ``outer(stages) @ membership`` formed in one call.  Fewer than two
-        blocks' rows are summed in one call.
+        With a ``membership`` of shape ``(C, K)``, the products are formed
+        and summed by cluster in blocks of ``_SMALL_GEMM // (C K) + 1`` rows
+        (245, about 1 MiB of products, at C = 512 and K = 8), the last block
+        also taking the remainder; fewer than two blocks' rows are one
+        block.  Each block's ``@ membership`` stays above OpenBLAS's
+        small-matrix bound, on the GEMM path whose per-element summation
+        order does not depend on the row count, so the result has the bits
+        of ``outer(stages) @ membership`` formed in one call.
         """
         if self.membership is None:
             return _outer(stages)
