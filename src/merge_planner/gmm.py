@@ -749,46 +749,43 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     ``qfull`` sums ``sum_{c in S} w_c |g_c|^2`` and ``cquad`` sums
     ``|S|^2 / W``.  An empty group keeps zero moments.
 
-    Works component-major: it reads each chunk's ``(C, m)`` weights as the
-    fitting set yields them, with no copy, and lays the expert outputs out
-    as ``(C, m, d)``, so each cluster is a block of rows.  The bits are
-    those of the per-cluster gathers of sample-major arrays.
+    Reads each chunk's ``(C, m)`` weights as the fitting set yields them,
+    with no copy, and forms a cluster's ``(m, n_k, d)`` expert outputs
+    inside the cluster loop, so no array spans the whole expansion.  The
+    bits are those of the per-cluster gathers of sample-major arrays.
     """
     d = fitting.samples.shape[1]
     expansion = fitting.expansion
-    C = expansion.n_experts
     K = len(groups)
     H = np.zeros((K, d + 1, d + 1))
     R = np.zeros((K, d, d + 1))
     qfull = np.zeros(K)
     cquad = np.zeros(K)
+    At = expansion.A.transpose(2, 0, 1)  # (d, C, d): a column block per expert
 
     for z, wT in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
-        # the contractions are the matmuls ``np.einsum(..., optimize=True)``
-        # runs for ``cij,mj->mci`` (g), ``mc,mci->mi`` (Sk) and ``m,mi,mj->ij`` (H)
-        g = (z @ expansion.A.transpose(2, 0, 1).reshape(d, C * d)).reshape(m, C, d)
-        g += expansion.b
-        # component-major operands: a cluster's are contiguous row blocks
-        # whose transposes have the strides of the fancy gathers ``w[:, idx]``
-        # and ``g[:, idx, :]``, so every BLAS call and every flat sum adds in
-        # the gathers' order; a C-order block (``np.take``) reorders the flat
-        # ``qfull`` sum and changes its bits.  ``gT`` is one transposed copy
-        # of whole d-double expert outputs, through a void view.
-        item = np.dtype((np.void, 8 * d))
-        gT = g.view(item).reshape(m, C).T.copy().view(np.float64).reshape(C, m, d)
-        del g
-        gsqT = _rowsum(gT * gT)  # (C, m)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
+            # the contractions are the matmuls ``np.einsum(..., optimize=True)``
+            # runs for ``cij,mj->mci`` (g), ``mc,mci->mi`` (Sk) and ``m,mi,mj->ij``
+            # (H); with an inner dimension of d, each element of a column block
+            # of ``z @ At`` has the bits of the one-call product
+            g = (z @ At[:, idx, :].reshape(d, idx.size * d)).reshape(m, idx.size, d)
+            g += expansion.b[idx]
             wk = wT[idx].T  # (m, n_k)
             Wk = np.sum(wk, axis=1)  # (m,)
-            Sk = (gT[idx].transpose(1, 2, 0) @ wk.reshape(m, idx.size, 1)).reshape(m, d)
+            Sk = (g.transpose(0, 2, 1) @ wk.reshape(m, idx.size, 1)).reshape(m, d)
             H[k] += (u.T * Wk.reshape(1, m)) @ u
             R[k] += Sk.T @ u
-            qfull[k] += float(np.sum(wk * gsqT[idx].T))
+            g *= g  # squared in place, once ``Sk`` has read it
+            # ``wk`` and ``gsq`` have the column-major strides of the fancy
+            # gathers ``w[:, idx]`` and ``gsq[:, idx]``, so the flat ``qfull``
+            # sum adds in the gathers' order; a C-order operand changes its bits
+            gsq = np.asfortranarray(_rowsum(g))  # (m, n_k)
+            qfull[k] += float(np.sum(wk * gsq))
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
     return H, R, qfull, cquad

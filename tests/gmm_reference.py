@@ -1,12 +1,14 @@
 """Test-side reference: the gather-loop cluster moments.
 
-The library's ``_cluster_moments`` reads each chunk's weights and expert
-outputs component-major and every cluster as a block of rows, with the
-matmuls ``np.einsum(..., optimize=True)`` runs written out.  The code here
-is the form that replaced: per cluster, fancy gathers of the sample-major
-arrays and the optimized einsum on them, with each chunk's weights taken
-from the public ``expansion.gating.weights``, not from the fitting set.  It
-is kept as the bit-identity reference the tests compare against.
+The library's ``_cluster_moments`` reads each chunk's weights
+component-major, every cluster's as a block of rows, forms each cluster's
+expert outputs inside its cluster loop, and writes out the matmuls
+``np.einsum(..., optimize=True)`` runs.  The code here is the form that
+replaced: the expert outputs of the whole expansion per chunk, then per
+cluster fancy gathers of the sample-major arrays and the optimized einsum
+on them, with each chunk's weights taken from the public
+``expansion.gating.weights``, not from the fitting set.  It is kept as the
+bit-identity reference the tests compare against.
 """
 
 from __future__ import annotations

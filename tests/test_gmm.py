@@ -591,12 +591,21 @@ class TestMcLoss:
 
 
 @pytest.fixture(scope="module")
-def student_k3(sched32, circle8):
-    """A circle-8 student of three steps (512 components), and the sampler at its input."""
+def fitting_k3(sched32, circle8):
+    """A circle-8 fitting set of three steps (512 components, one chunk of 1024 samples),
+    its 8-cluster partition and the sampler at its input."""
     ops = [single_step_moe(circle8, sched32, t) for t in (32, 31, 30)]
     sampler = NoisySampler(gmm=circle8, sched=sched32, t=32)
     samples = sampler.sample(1024, np.random.default_rng(23))
-    return gmm_module._compress(compose_expand(ops), samples, n_clusters=8).student, sampler
+    fitting = gmm_module._FittingSet(compose_expand(ops), samples)
+    return fitting, choose_partition(fitting.expansion, fitting, n_clusters=8), sampler
+
+
+@pytest.fixture(scope="module")
+def student_k3(fitting_k3):
+    """The student fitted on ``fitting_k3``, and the sampler at its input."""
+    fitting, partition, sampler = fitting_k3
+    return fit_cluster_student(fitting.expansion, partition, fitting).student, sampler
 
 
 class TestMcLossMemory:
@@ -614,6 +623,24 @@ class TestMcLossMemory:
         tracemalloc.start()
         try:
             mc_distillation_loss(student, None, sampler, 10_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestClusterMomentsMemory:
+    def test_k3_traced_peak(self, fitting_k3):
+        # the chunk's whole (1024, 512, 2) expert outputs, their component-major
+        # copy and its squares once lived together: a traced peak of 20.0 MiB
+        # at eb2dd12, against about 5.2 MiB with one cluster's outputs at a time
+        fitting, partition, _ = fitting_k3
+        groups = gmm_module._validate_partition(partition, 512)
+        assert len(groups) == 8 and len(list(fitting.weights())) == 1
+        gmm_module._cluster_moments(fitting, groups)  # the fitting set keeps its weights
+        tracemalloc.start()
+        try:
+            gmm_module._cluster_moments(fitting, groups)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1097,10 +1124,11 @@ class TestEinsum:
     """The contractions written as matmuls have the bits of ``np.einsum(..., optimize=True)``.
 
     ``MoeOperator._mix`` runs ``nk,kij,nj->ni``; ``_cluster_moments`` runs
-    the other three, so each of its cases builds a fitting set and a
-    partition whose chunk and clusters have exactly those shapes, and holds
-    the moments equal to the gather-loop reference, which calls the
-    optimized einsum.
+    the other three, ``cij,mj->mci`` one cluster's experts at a time, so each
+    of its cases builds a fitting set and a partition whose chunk and
+    clusters have exactly those shapes, and holds the moments equal to the
+    gather-loop reference, which calls the optimized einsum on the whole
+    expansion.
     """
 
     # the shapes the mixture workloads contract, per subscripts
@@ -1205,7 +1233,7 @@ class TestClusterMoments:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("chunk", [256, 8192])
     def test_matches_reference_at_other_dimensions(self, monkeypatch, d, chunk):
-        # ``gT`` is copied as whole d-double items, so the item size follows d
+        # the expert-output product's inner dimension and column blocks follow d
         monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: chunk)
         rng = np.random.default_rng(40 + d)
         gmm = _random_mixture(rng, 5, d)
@@ -1219,6 +1247,35 @@ class TestClusterMoments:
         _assert_same_moments(
             gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
         )
+
+
+class TestExpertOutputBlocks:
+    """A column block of the expert-output product has the bits of the one-call product.
+
+    ``_cluster_moments`` forms ``z @ At[:, idx, :]`` per cluster; the
+    gather-loop reference takes the ``idx`` columns of ``z @ At`` over the
+    whole expansion.  The inner dimension is d, so there is no sum for the
+    column count to reorder, on either side of OpenBLAS's small-matrix bound:
+    with M N K = m n d^2, the blocks at C = 512, at C = 64 from d = 2 and at
+    C = 8 from d = 4 lie on both sides of it.
+    """
+
+    @pytest.mark.parametrize("C", [1, 8, 64, 512])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_blocks_match_one_product_bit_for_bit(self, d, C):
+        rng = np.random.default_rng(100 * d + C)
+        A = rng.standard_normal((C, d, d)) * 10.0 ** rng.uniform(-3, 3, size=(C, 1, 1))
+        At = A.transpose(2, 0, 1)
+        sizes = sorted({n for n in (1, 2, 7, C // 8, C // 2, C) if 1 <= n <= C})
+        for m in (1, 3, 245, 1024, 8192):
+            if m * C * d > 2**23:  # a one-call product above 64 MiB
+                continue
+            z = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3)
+            want = (z @ At.reshape(d, C * d)).reshape(m, C, d)
+            for n in sizes:
+                idx = np.sort(rng.choice(C, size=n, replace=False))
+                got = (z @ At[:, idx, :].reshape(d, n * d)).reshape(m, n, d)
+                assert got.tobytes() == want[:, idx, :].tobytes(), (m, n)
 
 
 @dataclass(frozen=True, eq=False)
