@@ -579,6 +579,13 @@ def _check_sample_counts(cfg: ExperimentConfig) -> None:
         raise ValueError(f"n_mc must be at least 2 for a standard error, got {cfg.n_mc}")
 
 
+def _check_fit_count(n_fit: int, d: int) -> None:
+    # fewer samples than an affine expert's d + 1 coefficients per coordinate
+    # leave the normal equations singular, and the bound reads near zero
+    if n_fit < d + 1:
+        raise ValueError(f"n_fit must be at least d + 1 = {d + 1} for the affine fit, got {n_fit}")
+
+
 def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
     """Clustering bound and Monte-Carlo loss for each composition horizon k.
 
@@ -591,6 +598,7 @@ def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
         raise ValueError("k_grid must be non-empty")
     _check_sample_counts(cfg)
     gmm = resolve_mixture(cfg)
+    _check_fit_count(cfg.n_fit, gmm.d)
     sched = resolve_schedule(cfg)
     t_hi = cfg.start_t if cfg.start_t is not None else sched.T
     rows: list[GmmApproxRow] = []
@@ -651,6 +659,7 @@ def run_gmm_propagate(cfg: ExperimentConfig) -> PropagateResult:
     """
     _check_sample_counts(cfg)
     gmm = resolve_mixture(cfg)
+    _check_fit_count(cfg.n_fit, gmm.d)
     sched = resolve_schedule(cfg)
     T = sched.T
     k1 = cfg.split if cfg.split is not None else T // 2

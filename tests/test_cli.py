@@ -150,6 +150,19 @@ def test_too_few_samples_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["gmm-approx", "gmm-propagate"])
+def test_too_few_samples_for_the_affine_fit_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[gmm]\nn_fit = 2\n")  # the circle mixture is 2-D
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "merge-planner: error: n_fit must be at least d + 1 = 3 for the affine fit, got 2" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # a one-item cap, so the first two-item frontier of this d = 2 plan overflows at once
     monkeypatch.setattr(report, "pareto_dp", functools.partial(pareto_dp, max_frontier_size=1))

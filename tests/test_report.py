@@ -1,9 +1,11 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from merge_planner import report as report_module
+from merge_planner.gmm import GaussianMixture
 from merge_planner.report import (
     ExperimentConfig,
     _canonical_plans,
@@ -295,6 +297,18 @@ class TestGmmRunners:
         cfg = ExperimentConfig(T=10, out_dir=tmp_path, **counts)
         with pytest.raises(ValueError, match=f"^{message}$"):
             run(cfg)
+
+    @pytest.mark.parametrize("run", [run_gmm_approx, run_gmm_propagate])
+    @pytest.mark.parametrize("n_fit, d", [(1, 2), (2, 2), (3, 3)])
+    def test_too_few_samples_for_the_affine_fit_rejected(self, tmp_path, monkeypatch, run, n_fit, d):
+        # at n_fit = 1 the k = 1 bound read 2.4e-10 against a Monte-Carlo loss of 1.77
+        gmm = GaussianMixture(pi=[0.5, 0.5], mu=np.eye(2, d), cov=np.stack([np.eye(d)] * 2))
+        monkeypatch.setattr(report_module, "resolve_mixture", lambda cfg: gmm)
+        cfg = ExperimentConfig(T=10, out_dir=tmp_path, n_fit=n_fit, n_mc=2)
+        message = f"n_fit must be at least d + 1 = {d + 1} for the affine fit, got {n_fit}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(cfg)
+        assert not any(tmp_path.iterdir())
 
     def test_empty_horizon_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^k_grid must be non-empty$"):
