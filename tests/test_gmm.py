@@ -633,7 +633,7 @@ class TestClusterMomentsMemory:
     def test_k3_traced_peak(self, fitting_k3):
         # the chunk's whole (1024, 512, 2) expert outputs, their component-major
         # copy and its squares once lived together: a traced peak of 20.0 MiB
-        # at eb2dd12, against about 5.2 MiB with one cluster's outputs at a time
+        # at eb2dd12, against about 5.6 MiB with one cluster's outputs at a time
         fitting, partition, _ = fitting_k3
         groups = gmm_module._validate_partition(partition, 512)
         assert len(groups) == 8 and len(list(fitting.weights())) == 1
