@@ -751,8 +751,9 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
 
     Reads each chunk's ``(C, m)`` weights as the fitting set yields them,
     with no copy, and forms a cluster's ``(m, n_k, d)`` expert outputs
-    inside the cluster loop, so no array spans the whole expansion.  The
-    bits are those of the per-cluster gathers of sample-major arrays.
+    inside the cluster loop, so no expert-output array spans more than one
+    cluster.  The bits are those of the per-cluster gathers of sample-major
+    arrays.
     """
     d = fitting.samples.shape[1]
     expansion = fitting.expansion
