@@ -52,7 +52,6 @@ from .gmm import (
     choose_partition,
     distill_chain,
     error_propagation_audit,
-    estimate_lipschitz,
     fit_cluster_student,
     make_circle_mixture,
     mc_distillation_loss,

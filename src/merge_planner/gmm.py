@@ -47,7 +47,6 @@ __all__ = [
     "fit_cluster_student",
     "choose_partition",
     "mc_distillation_loss",
-    "estimate_lipschitz",
     "error_propagation_audit",
     "distill_chain",
     "write_mixture",
@@ -1044,20 +1043,6 @@ def mc_distillation_loss(
 
     rng = np.random.default_rng(seed)
     return _mc_mean(sq_dev, sampler, n, rng, _chunk_size(widest))[0]
-
-
-def estimate_lipschitz(
-    op,
-    sampler: NoisySampler,
-    n_pairs: int,
-    scale: float = _LIPSCHITZ_SCALE,
-    seed: int = 0,
-) -> float:
-    """Empirical lower estimate of the Lipschitz constant from perturbed pairs."""
-    if n_pairs < 1:
-        raise ValueError("need at least one pair")
-    rng = np.random.default_rng(seed)
-    return _lipschitz_at(_as_callable(op), sampler.sample(n_pairs, rng), scale, rng)
 
 
 def _lipschitz_at(

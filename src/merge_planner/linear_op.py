@@ -15,8 +15,6 @@ with gamma taken at the end time of the merged block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +22,9 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "DiagGaussian",
-    "SignalNoiseVector",
     "DiagOperator",
     "ShrinkageProfile",
     "ContractionReport",
-    "signal_noise_vector",
     "single_step_operator",
     "single_step_matrix",
     "composite_operator",
@@ -39,10 +35,6 @@ __all__ = [
     "w2_objective",
     "critical_variance",
     "diagonalize_covariance",
-    "write_operator_csv",
-    "read_operator_csv",
-    "write_shrinkage_csv",
-    "read_shrinkage_csv",
 ]
 
 
@@ -67,28 +59,6 @@ class DiagGaussian:
     @property
     def d(self) -> int:
         return self.lam.shape[0]
-
-
-class SignalNoiseVector(NamedTuple):
-    """Per-coordinate signal strength ``alpha[t]*sqrt(lam_i)`` and noise level ``sigma[t]``."""
-
-    s: float
-    n: float
-
-    def norm_sq(self) -> float:
-        return self.s * self.s + self.n * self.n
-
-    def dot(self, other: "SignalNoiseVector") -> float:
-        return self.s * other.s + self.n * other.n
-
-
-def signal_noise_vector(sched: NoiseSchedule, data: DiagGaussian, t: int, i: int) -> SignalNoiseVector:
-    """Signal-noise vector of coordinate ``i`` (0-based) at step ``t`` (0..T)."""
-    if not 0 <= t <= sched.T:
-        raise ValueError(f"t must be in [0, {sched.T}], got {t}")
-    return SignalNoiseVector(
-        s=sched.alpha[t] * np.sqrt(data.lam[i]), n=sched.sigma[t]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,72 +296,3 @@ def diagonalize_covariance(Sigma) -> tuple[np.ndarray, np.ndarray]:
     lam = np.maximum(vals[order], 0.0)
     U = vecs[:, order]
     return U, lam
-
-
-def write_operator_csv(op: DiagOperator, path: str | Path) -> None:
-    """Serialize as CSV ``i,entry`` with 1-based coordinate index."""
-    lines = ["i,entry"]
-    for i, e in enumerate(op.entries, start=1):
-        lines.append(f"{i},{e:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_operator_csv(path: str | Path, interval: tuple[int, int]) -> DiagOperator:
-    """Read an ``i,entry`` CSV back; the covered interval is supplied by the caller."""
-    raw = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not raw or raw[0].strip() != "i,entry":
-        raise ValueError("operator CSV must start with header row 'i,entry'")
-    entries: dict[int, float] = {}
-    for line in raw[1:]:
-        if not line.strip():
-            continue
-        i_str, e_str = line.split(",")
-        i = int(i_str)
-        if i in entries:
-            raise ValueError(f"operator CSV repeats the row for i={i}")
-        entries[i] = float(e_str)
-    if not entries:
-        raise ValueError("operator CSV 'i,entry' has a header row but no data rows")
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        raise ValueError("operator CSV must list every i in 1..d exactly once")
-    values = np.array([entries[i] for i in range(1, len(entries) + 1)])
-    return DiagOperator(entries=values, interval=interval)
-
-
-def write_shrinkage_csv(shrink: ShrinkageProfile, path: str | Path) -> None:
-    """Serialize as CSV ``t,i,gamma`` with 1-based step and coordinate indices."""
-    lines = ["t,i,gamma"]
-    for t in range(1, shrink.T + 1):
-        row = shrink.gamma[t - 1]
-        for i in range(1, shrink.d + 1):
-            lines.append(f"{t},{i},{row[i - 1]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def read_shrinkage_csv(path: str | Path) -> np.ndarray:
-    """Read a ``t,i,gamma`` CSV back as a ``(T, d)`` matrix.
-
-    The ``(t, i)`` keys must be exactly ``{1..T} x {1..d}``, each once.
-    """
-    raw = Path(path).read_text(encoding="ascii").strip().splitlines()
-    if not raw or raw[0].strip() != "t,i,gamma":
-        raise ValueError("shrinkage CSV must start with header row 't,i,gamma'")
-    cells: dict[tuple[int, int], float] = {}
-    for line in raw[1:]:
-        if not line.strip():
-            continue
-        t_str, i_str, g_str = line.split(",")
-        key = (int(t_str), int(i_str))
-        if key in cells:
-            raise ValueError(f"shrinkage CSV repeats the row for (t, i)={key}")
-        cells[key] = float(g_str)
-    if not cells:
-        raise ValueError("shrinkage CSV 't,i,gamma' has a header row but no data rows")
-    T = max(t for t, _ in cells)
-    d = max(i for _, i in cells)
-    if sorted(cells) != [(t, i) for t in range(1, T + 1) for i in range(1, d + 1)]:
-        raise ValueError("shrinkage CSV must list every (t, i) pair in 1..T x 1..d exactly once")
-    gamma = np.empty((T, d))
-    for (t, i), g in cells.items():
-        gamma[t - 1, i - 1] = g
-    return gamma

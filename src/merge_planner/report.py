@@ -154,12 +154,6 @@ def load_config(
         cfg = replace(cfg, seed=int(env[SEED_ENV_VAR]))
     if overrides:
         clean = {k: v for k, v in overrides.items() if v is not None}
-        if "out_dir" in clean:
-            clean["out_dir"] = Path(clean["out_dir"])
-        if "schedule_file" in clean:
-            clean["schedule_file"] = Path(clean["schedule_file"])
-        if "mixture_file" in clean:
-            clean["mixture_file"] = Path(clean["mixture_file"])
         cfg = replace(cfg, **clean)
     return cfg
 
@@ -202,10 +196,7 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
         ):
             if key in sec and sec[key].strip():
                 field_name = {"s": "s_train", "out": "out_dir"}.get(key, key)
-                value = cast(sec[key].strip())
-                if field_name in ("out_dir", "schedule_file"):
-                    value = Path(value)
-                changes[field_name] = value
+                changes[field_name] = cast(sec[key].strip())
     if parser.has_section("lambda"):
         sec = parser["lambda"]
         if sec.get("values", "").strip():
@@ -229,7 +220,7 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
     if parser.has_section("gmm"):
         sec = parser["gmm"]
         if sec.get("mixture_file", "").strip():
-            changes["mixture_file"] = Path(sec["mixture_file"].strip())
+            changes["mixture_file"] = sec["mixture_file"].strip()
         for key, cast in (
             ("circle_K", int),
             ("circle_radius", float),
@@ -249,6 +240,10 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
 
 def resolve_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
     """The configured schedule; a schedule file must pass :func:`validate_schedule`."""
+    if cfg.schedule_file is not None and cfg.schedule != "file":
+        raise ValueError(
+            f"schedule_file is set but schedule = {cfg.schedule}; set schedule = file to use it"
+        )
     if cfg.schedule == "cosine":
         return make_cosine_schedule(cfg.T)
     if cfg.schedule == "file":
@@ -394,8 +389,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     single ``DiagGaussian``, the DP is :func:`scalar_dp` over all columns at
     once, and rows are sorted by lambda before emission.
     """
-    if cfg.schedule != "cosine":
-        raise ValueError("sweeps are defined on the built-in cosine schedule")
+    _require_cosine(cfg)
     return _run_one_sweep(cfg, cfg.T, cfg.s_train, cfg.out_dir / "sweep.csv")
 
 
@@ -405,8 +399,7 @@ def run_ablation(cfg: ExperimentConfig) -> AblationResult:
     One CSV per (T, s) combination, named ``sweep_T{T}_s{s}.csv``; falls
     back to the single configured T and s when a grid is absent.
     """
-    if cfg.schedule != "cosine":
-        raise ValueError("sweeps are defined on the built-in cosine schedule")
+    _require_cosine(cfg)
     for name, grid in (("T_grid", cfg.T_grid), ("s_grid", cfg.s_grid)):
         if grid is not None and not grid:
             raise ValueError(f"{name} must be non-empty")
@@ -420,6 +413,13 @@ def run_ablation(cfg: ExperimentConfig) -> AblationResult:
     return AblationResult(
         sweeps=sweeps, paths=tuple(r.path for r in sweeps.values())
     )
+
+
+def _require_cosine(cfg: ExperimentConfig) -> None:
+    if cfg.schedule != "cosine":
+        raise ValueError("sweeps are defined on the built-in cosine schedule")
+    if cfg.schedule_file is not None:
+        raise ValueError("schedule_file is set but sweeps use the built-in cosine schedule")
 
 
 def _run_one_sweep(cfg: ExperimentConfig, T: int, s_train: float, path: Path) -> SweepResult:

@@ -163,6 +163,27 @@ def test_too_few_samples_for_the_affine_fit_is_a_usage_error(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("plan", "schedule_file is set but schedule = cosine; set schedule = file to use it"),
+        ("sweep", "schedule_file is set but sweeps use the built-in cosine schedule"),
+    ],
+    ids=["plan", "sweep"],
+)
+def test_schedule_file_without_file_kind_is_a_usage_error(tmp_path, capsys, command, message):
+    (tmp_path / "sched.csv").write_text("t,alpha\n0,1.0\n1,0.5\n2,0.0\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\nT = 2\nschedule_file = {tmp_path / 'sched.csv'}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"merge-planner: error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # a one-item cap, so the first two-item frontier of this d = 2 plan overflows at once
     monkeypatch.setattr(report, "pareto_dp", functools.partial(pareto_dp, max_frontier_size=1))

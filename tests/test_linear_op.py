@@ -1,7 +1,3 @@
-import functools
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,18 +12,13 @@ from merge_planner.linear_op import (
     contraction_certificate,
     diagonalize_covariance,
     gradient_flow_trajectory,
-    read_operator_csv,
-    read_shrinkage_csv,
     shrinkage,
-    signal_noise_vector,
     single_step_matrix,
     single_step_operator,
     surrogate_target,
     w2_objective,
-    write_operator_csv,
-    write_shrinkage_csv,
 )
-from merge_planner.schedule import NoiseSchedule, make_cosine_schedule, read_schedule_csv
+from merge_planner.schedule import NoiseSchedule, make_cosine_schedule
 from merge_planner.verify import integrate_gradient_flow_rk4
 
 from plan_reference import direct_merge, merge
@@ -84,9 +75,11 @@ class TestSingleStepOperator:
         for t in (1, 2, 16, 31, 32):
             op = single_step_operator(sched32, data, t)
             for i in range(data.d):
-                v_prev = signal_noise_vector(sched32, data, t - 1, i)
-                v_cur = signal_noise_vector(sched32, data, t, i)
-                proj = v_prev.dot(v_cur) / v_cur.norm_sq()
+                # signal alpha[t]*sqrt(lam_i) and noise sigma[t] at t-1 and t
+                s_prev = sched32.alpha[t - 1] * np.sqrt(data.lam[i])
+                s_cur = sched32.alpha[t] * np.sqrt(data.lam[i])
+                n_prev, n_cur = sched32.sigma[t - 1], sched32.sigma[t]
+                proj = (s_prev * s_cur + n_prev * n_cur) / (s_cur * s_cur + n_cur * n_cur)
                 assert op.entries[i] == pytest.approx(proj, abs=1e-14)
 
 
@@ -418,99 +411,6 @@ class TestDiagonalizeCovariance:
             m_cand = rot @ np.diag(cand.entries) @ rot.T
             frob = float(np.sum((m_surr - m_cand) ** 2))
             assert abs(frob - obj) <= 1e-10
-
-
-class TestOperatorCsv:
-    def test_round_trip(self, tmp_path, sched32):
-        op = composite_operator(sched32, DiagGaussian([0.5, 2.5]), 3, 9)
-        path = tmp_path / "op.csv"
-        write_operator_csv(op, path)
-        assert path.read_text().splitlines()[0] == "i,entry"
-        back = read_operator_csv(path, interval=op.interval)
-        np.testing.assert_array_equal(back.entries, op.entries)
-        assert back.interval == op.interval
-
-    def test_shrinkage_round_trip(self, tmp_path, sched32):
-        prof = shrinkage(sched32, DiagGaussian([0.5, 2.5]), 6.4)
-        path = tmp_path / "gamma.csv"
-        write_shrinkage_csv(prof, path)
-        assert path.read_text().splitlines()[0] == "t,i,gamma"
-        back = read_shrinkage_csv(path)
-        np.testing.assert_array_equal(back, prof.gamma)
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(
-        entries=hnp.arrays(
-            np.float64,
-            st.integers(1, 12),
-            elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324, 1.0]),
-        ),
-        t1=st.integers(1, 500),
-        length=st.integers(0, 40),
-    )
-    def test_round_trip_any_operator(self, entries, t1, length):
-        op = DiagOperator(entries=entries, interval=(t1, t1 + length))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "op.csv"
-            write_operator_csv(op, path)
-            back = read_operator_csv(path, interval=op.interval)
-        assert back.entries.tobytes() == op.entries.tobytes()
-        assert back.interval == op.interval
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 12), st.integers(1, 4)),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        )
-    )
-    def test_shrinkage_round_trip_any_gamma(self, gamma):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "gamma.csv"
-            write_shrinkage_csv(ShrinkageProfile(s_train=1.0, gamma=gamma), path)
-            back = read_shrinkage_csv(path)
-        assert back.tobytes() == gamma.tobytes()
-
-    def test_duplicate_row_rejected(self, tmp_path):
-        path = tmp_path / "op.csv"
-        path.write_text("i,entry\n1,0.5\n1,0.9\n")
-        with pytest.raises(ValueError, match="repeats the row for i=1"):
-            read_operator_csv(path, interval=(1, 1))
-
-    def test_shrinkage_duplicate_row_rejected(self, tmp_path):
-        # two distinct cells for T=2, d=1, so only the repeat can give it away
-        path = tmp_path / "gamma.csv"
-        path.write_text("t,i,gamma\n1,1,0.5\n1,1,0.9\n2,1,0.7\n")
-        with pytest.raises(ValueError, match=r"repeats the row for \(t, i\)=\(1, 1\)"):
-            read_shrinkage_csv(path)
-
-    @pytest.mark.parametrize(
-        "rows",
-        # as many cells as T x d, so only the key range can give them away
-        ["0,1,0.5\n2,1,0.7\n", "1,0,0.5\n2,1,0.7\n", "-1,1,0.5\n1,1,0.7\n2,1,0.9\n4,1,0.1\n"],
-        ids=["t-zero", "i-zero", "t-negative"],
-    )
-    def test_shrinkage_keys_outside_the_grid_rejected(self, tmp_path, rows):
-        path = tmp_path / "gamma.csv"
-        path.write_text("t,i,gamma\n" + rows)
-        with pytest.raises(ValueError, match=r"every \(t, i\) pair in 1\.\.T x 1\.\.d"):
-            read_shrinkage_csv(path)
-
-    @pytest.mark.parametrize(
-        "reader, header",
-        [
-            (read_shrinkage_csv, "t,i,gamma"),
-            (read_schedule_csv, "t,alpha"),
-            (functools.partial(read_operator_csv, interval=(1, 1)), "i,entry"),
-        ],
-        ids=["shrinkage", "schedule", "operator"],
-    )
-    def test_header_only_file_rejected(self, tmp_path, reader, header):
-        path = tmp_path / "empty.csv"
-        path.write_text(header + "\n")
-        with pytest.raises(ValueError, match=f"CSV '{header}' has a header row but no data rows"):
-            reader(path)
 
 
 class TestDiagOperator:

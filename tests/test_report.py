@@ -88,6 +88,22 @@ class TestConfig:
         cfg = load_config(path, env={})
         assert cfg.kind == "sweep" and cfg.lambda_points == 50 and cfg.T_grid == (32, 64)
 
+    def test_file_fields_are_paths(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[experiment]\nout = res\nschedule = file\nschedule_file = s.csv\n"
+            "[gmm]\nmixture_file = m.txt\n"
+        )
+        from_file = load_config(path, env={})
+        from_overrides = load_config(
+            overrides={"out_dir": "res", "schedule_file": "s.csv", "mixture_file": "m.txt"},
+            env={},
+        )
+        for cfg in (from_file, from_overrides):
+            assert isinstance(cfg.out_dir, Path) and cfg.out_dir == Path("res")
+            assert isinstance(cfg.schedule_file, Path) and cfg.schedule_file == Path("s.csv")
+            assert isinstance(cfg.mixture_file, Path) and cfg.mixture_file == Path("m.txt")
+
     def test_default_sweep_grid(self):
         cfg = ExperimentConfig(kind="sweep")
         grid = cfg.sweep_lambdas()
@@ -154,6 +170,14 @@ class TestSweep:
         assert _canonical_plans(6)["progressive"] is None
         with pytest.raises(TypeError):
             plans["vanilla"] = plan_sequential_boot(8)
+
+    @pytest.mark.parametrize("run", [run_sweep, run_ablation])
+    def test_schedule_file_rejected(self, tmp_path, run):
+        cfg = ExperimentConfig(kind="sweep", T=8, schedule_file="s.csv", out_dir=tmp_path)
+        message = "schedule_file is set but sweeps use the built-in cosine schedule"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(cfg)
+        assert not any(tmp_path.iterdir())
 
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = ExperimentConfig(kind="sweep", T=8, lambda_points=0, out_dir=tmp_path)
@@ -274,6 +298,15 @@ class TestRunPlan:
             kind="plan", T=3, schedule="file", schedule_file=path, out_dir=tmp_path
         )
         with pytest.raises(ValueError, match="alpha monotonicity violation at index 2"):
+            run_plan(cfg)
+        assert not (tmp_path / "plan.txt").exists()
+
+    def test_schedule_file_without_file_kind_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("t,alpha\n0,1.0\n1,0.5\n2,0.0\n")
+        cfg = ExperimentConfig(kind="plan", T=2, schedule_file=path, out_dir=tmp_path)
+        message = "schedule_file is set but schedule = cosine; set schedule = file to use it"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_plan(cfg)
         assert not (tmp_path / "plan.txt").exists()
 

@@ -143,3 +143,9 @@ class TestScheduleCsv:
         path.write_text("t,alpha\n0,1.0\n1,0.5\n1,0.6\n2,0.0\n")
         with pytest.raises(ValueError, match="t=1 more than once"):
             read_schedule_csv(path)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,alpha\n")
+        with pytest.raises(ValueError, match="CSV 't,alpha' has a header row but no data rows"):
+            read_schedule_csv(path)
