@@ -19,7 +19,6 @@ from .linear_op import (
     composite_operator,
     contraction_certificate,
     critical_variance,
-    diagonalize_covariance,
     gradient_flow_trajectory,
     shrinkage,
     single_step_operator,

@@ -37,6 +37,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--s", type=float, dest="s_train", help="optimization time per merge")
     parser.add_argument("--seed", type=int, help="root seed for all stochastic steps")
     parser.add_argument("--out", dest="out_dir", help="output directory")
+
+
+def _add_schedule_file(parser: argparse.ArgumentParser) -> None:
+    # not on ``sweep``: sweeps are defined on the built-in cosine schedule
     parser.add_argument(
         "--schedule-file",
         dest="schedule_file",
@@ -57,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="compute the DP-optimal merge plan for one lambda vector")
     _add_common(p_plan)
+    _add_schedule_file(p_plan)
     p_plan.add_argument("--lambda", dest="lam", help="variance(s), e.g. 1.08 or 0.95,1.25")
 
     p_sweep = sub.add_parser("sweep", help="strategy-vs-DP objective sweep over a lambda grid")
@@ -67,11 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("gmm-approx", help="clustering bound and MC loss per horizon k")
     _add_common(p_approx)
+    _add_schedule_file(p_approx)
     p_approx.add_argument("--mixture", dest="mixture_file", help="mixture specification file")
     p_approx.add_argument("--k-grid", dest="k_grid", help="horizons, e.g. 1,2,3")
 
     p_prop = sub.add_parser("gmm-propagate", help="two-stage distillation error-propagation audit")
     _add_common(p_prop)
+    _add_schedule_file(p_prop)
     p_prop.add_argument("--mixture", dest="mixture_file", help="mixture specification file")
     p_prop.add_argument("--split", type=int, help="first-stage horizon k1 (default T/2)")
 

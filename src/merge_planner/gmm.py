@@ -58,9 +58,6 @@ DEFAULT_EXPANSION_CAP = 4096
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE = 1e-10
 _KMEANS_ITERS = 200
-# exhaustive partition search: the tie tolerance, as a fraction of the zero
-# student's bound; rounding moved bounds by about 1e-16 of it
-_PARTITION_TIE_RTOL = 1e-12
 # the audit's Lipschitz estimate: perturbed pairs, and the perturbation scale
 _LIPSCHITZ_PAIRS = 2048
 _LIPSCHITZ_SCALE = 1e-3
@@ -856,18 +853,15 @@ def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) 
 def choose_partition(
     expansion: MoeOperator,
     samples: np.ndarray,
-    method: str = "greedy_affine",
     n_clusters: int | None = None,
     seed: int = 0,
 ) -> list[list[int]]:
     """Group the expanded components into at most ``n_clusters`` clusters.
 
-    ``greedy_affine`` runs mass-weighted k-means on the flattened (A, b)
-    parameters, with component masses measured on the provided samples.
-    ``exhaustive`` enumerates every partition into at most ``n_clusters``
-    groups (guarded to <= 9 components and <= 3 clusters) and returns the
-    bound minimizer; bounds that agree to rounding go to the
-    lexicographically smallest partition.
+    Runs mass-weighted k-means on the flattened (A, b) parameters, with
+    component masses measured on the provided samples; empty clusters are
+    dropped and the groups are ordered by first member.  Its bound is
+    tested against the exhaustive bound minimizer, which is test code.
     """
     fitting = _fitting_set(expansion, samples)
     C = expansion.n_experts
@@ -880,92 +874,30 @@ def choose_partition(
     if n_clusters == 1:
         return [list(range(C))]
 
-    if method == "greedy_affine":
-        feats = np.concatenate(
-            [expansion.A.reshape(C, -1), expansion.b.reshape(C, -1)], axis=1
-        )
-        masses = _component_masses(fitting)
-        labels = _weighted_kmeans(feats, masses, n_clusters, seed)
-        groups = [np.nonzero(labels == j)[0].tolist() for j in range(n_clusters)]
-        groups = [g for g in groups if g]
-        groups.sort(key=lambda g: g[0])
-        return groups
-
-    if method == "exhaustive":
-        if C > 9 or n_clusters > 3:
-            raise ValueError(
-                "exhaustive partition search is guarded to <= 9 components "
-                "and <= 3 clusters"
-            )
-        return _exhaustive_partition(fitting, n_clusters)
-
-    raise ValueError(f"unknown partition method {method!r}")
-
-
-def _restricted_partitions(n: int, max_blocks: int):
-    """All set partitions of range(n) into at most ``max_blocks`` blocks."""
-
-    def rec(i: int, blocks: list[list[int]]):
-        if i == n:
-            yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([i])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
-def _exhaustive_partition(fitting: _FittingSet, n_clusters: int) -> list[list[int]]:
-    """The partition with the least bound; near ties go to the smallest partition.
-
-    A bound is a sum of ``q - tr(M R)`` terms that add up to about the zero
-    student's bound ``q.sum()``, so its rounding scales with that sum: bounds
-    within ``_PARTITION_TIE_RTOL * q.sum()`` of the least are tied, and the
-    lexicographically smallest partition (sorted groups, ordered by first
-    member, as enumerated) wins, as the DP breaks ties by the smallest plan.
-    """
-    # the moments are additive over cluster members: compute them once per
-    # component and sum them per candidate group
-    C = fitting.expansion.n_experts
-    H, R, q, _ = _cluster_moments(fitting, [np.array([c]) for c in range(C)])
-    partitions = list(_restricted_partitions(C, n_clusters))
-    bounds = np.array([_partition_bound(H, R, q, partition) for partition in partitions])
-    tied = np.flatnonzero(bounds <= bounds.min() + _PARTITION_TIE_RTOL * q.sum())
-    return min(partitions[i] for i in tied)
-
-
-def _partition_bound(H: np.ndarray, R: np.ndarray, q: np.ndarray, partition) -> float:
-    """The bound of ``partition`` from per-component moments, summed group by group."""
-    bound = 0.0
-    for group in partition:
-        Rk = R[group].sum(axis=0)
-        M, _ = _solve_normal(H[group].sum(axis=0), Rk)
-        bound += q[group].sum() - float(np.sum(M * Rk))
-    return bound
+    feats = np.concatenate([expansion.A.reshape(C, -1), expansion.b.reshape(C, -1)], axis=1)
+    masses = _component_masses(fitting)
+    labels = _weighted_kmeans(feats, masses, n_clusters, seed)
+    groups = [np.nonzero(labels == j)[0].tolist() for j in range(n_clusters)]
+    groups = [g for g in groups if g]
+    groups.sort(key=lambda g: g[0])
+    return groups
 
 
 def _compress(
     expansion: MoeOperator,
     samples: np.ndarray,
-    method: str = "greedy_affine",
     n_clusters: int | None = None,
     seed: int = 0,
 ) -> FitResult:
     """``choose_partition`` then ``fit_cluster_student`` on one fitting set, gated once.
 
-    Both read the stage weights of a single gating pass over ``samples``;
-    the result has the bits of the two calls made separately.
+    This is how every command compresses an expansion: the k-means
+    partition, then the affine fit of each cluster.  Both read the stage
+    weights of a single gating pass over ``samples``; the result has the
+    bits of the two calls made separately.
     """
     fitting = _FittingSet(expansion, samples)
-    partition = choose_partition(
-        expansion, fitting, method=method, n_clusters=n_clusters, seed=seed
-    )
+    partition = choose_partition(expansion, fitting, n_clusters=n_clusters, seed=seed)
     return fit_cluster_student(expansion, partition, fitting)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "surrogate_target",
     "w2_objective",
     "critical_variance",
-    "diagonalize_covariance",
 ]
 
 
@@ -195,12 +194,6 @@ class ShrinkageProfile:
     def d(self) -> int:
         return self.gamma.shape[1]
 
-    def gamma_at(self, t: int) -> np.ndarray:
-        """Shrinkage vector for merges ending at step ``t`` (1-based)."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"t must be in [1, {self.T}], got {t}")
-        return self.gamma[t - 1]
-
 
 def shrinkage(sched: NoiseSchedule, data: DiagGaussian, s_train: float) -> ShrinkageProfile:
     """Materialize the gradient-flow interpolation weights for optimization time ``s_train``."""
@@ -277,22 +270,3 @@ def critical_variance(sched: NoiseSchedule) -> tuple[float, np.ndarray]:
     lam0 = (s[t] * (s[t] - s[t - 1])) / (a[t] * (a[t - 1] - a[t]))
     return float(np.max(lam0)), lam0
 
-
-def diagonalize_covariance(Sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal change of basis ``Sigma = U Diag(lam) U^T`` with lam sorted non-increasing.
-
-    Rejects matrices that are asymmetric beyond 1e-10 or have an eigenvalue
-    below -1e-10; eigenvalues in (-1e-10, 0) are clamped to zero.
-    """
-    S = np.asarray(Sigma, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("Sigma must be a square matrix")
-    if np.max(np.abs(S - S.T)) > 1e-10:
-        raise ValueError("Sigma is not symmetric within 1e-10")
-    vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-    if np.min(vals) < -1e-10:
-        raise ValueError(f"Sigma is indefinite: min eigenvalue {np.min(vals):.3e}")
-    order = np.argsort(vals)[::-1]
-    lam = np.maximum(vals[order], 0.0)
-    U = vecs[:, order]
-    return U, lam

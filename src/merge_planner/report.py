@@ -95,7 +95,8 @@ class ExperimentConfig:
 
     ``lam_values`` drives ``plan`` (a vector) and explicit sweep grids;
     otherwise sweeps use ``lambda_points`` log- or linearly spaced values
-    between ``lambda_min`` and ``lambda_max``.
+    between ``lambda_min`` and ``lambda_max``.  No runner reads ``kind``:
+    the CLI sets it from the subcommand.
     """
 
     kind: str = "plan"
@@ -158,19 +159,53 @@ def load_config(
     return cfg
 
 
-# every key a config file may set, per section; configparser lowercases keys
+def _words(cast):
+    return lambda text: tuple(cast(v) for v in text.split())
+
+
+def _lambda_grid(text: str) -> tuple[str, float, float, int]:
+    kind, lo, hi, pts = text.split()
+    return kind, float(lo), float(hi), int(pts)
+
+
+# every key a config file may set, per section (configparser lowercases
+# keys): the field it sets, or a tuple of fields, and how its text is read
 _FILE_KEYS = {
-    "experiment": {"kind", "t", "s", "seed", "out", "schedule", "schedule_file"},
-    "lambda": {"values", "grid"},
-    "sweep": {"t_grid", "s_grid"},
+    "experiment": {
+        "kind": ("kind", str),
+        "t": ("T", int),
+        "s": ("s_train", float),
+        "seed": ("seed", int),
+        "out": ("out_dir", str),
+        "schedule": ("schedule", str),
+        "schedule_file": ("schedule_file", str),
+    },
+    "lambda": {
+        "values": ("lam_values", _words(float)),
+        "grid": (("lambda_grid", "lambda_min", "lambda_max", "lambda_points"), _lambda_grid),
+    },
+    "sweep": {"t_grid": ("T_grid", _words(int)), "s_grid": ("s_grid", _words(float))},
     "gmm": {
-        "mixture_file", "circle_k", "circle_radius", "circle_std", "k_grid",
-        "start_t", "split", "n_fit", "n_mc", "expansion_cap",
+        "mixture_file": ("mixture_file", str),
+        "circle_k": ("circle_K", int),
+        "circle_radius": ("circle_radius", float),
+        "circle_std": ("circle_std", float),
+        "k_grid": ("k_grid", _words(int)),
+        "start_t": ("start_t", int),
+        "split": ("split", int),
+        "n_fit": ("n_fit", int),
+        "n_mc": ("n_mc", int),
+        "expansion_cap": ("expansion_cap", int),
     },
 }
 
 
 def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
+    """``cfg`` with every non-blank key of the config file at ``path`` applied.
+
+    Every section and key is checked against ``_FILE_KEYS`` before any value
+    is read.
+    """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -183,58 +218,16 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
             if key not in _FILE_KEYS[section]:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
     changes: dict = {}
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        for key, cast in (
-            ("kind", str),
-            ("T", int),
-            ("s", float),
-            ("seed", int),
-            ("out", str),
-            ("schedule", str),
-            ("schedule_file", str),
-        ):
-            if key in sec and sec[key].strip():
-                field_name = {"s": "s_train", "out": "out_dir"}.get(key, key)
-                changes[field_name] = cast(sec[key].strip())
-    if parser.has_section("lambda"):
-        sec = parser["lambda"]
-        if sec.get("values", "").strip():
-            changes["lam_values"] = tuple(
-                float(v) for v in sec["values"].split()
-            )
-        if sec.get("grid", "").strip():
-            kind, lo, hi, pts = sec["grid"].split()
-            changes.update(
-                lambda_grid=kind,
-                lambda_min=float(lo),
-                lambda_max=float(hi),
-                lambda_points=int(pts),
-            )
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        if sec.get("T_grid", "").strip():
-            changes["T_grid"] = tuple(int(v) for v in sec["T_grid"].split())
-        if sec.get("s_grid", "").strip():
-            changes["s_grid"] = tuple(float(v) for v in sec["s_grid"].split())
-    if parser.has_section("gmm"):
-        sec = parser["gmm"]
-        if sec.get("mixture_file", "").strip():
-            changes["mixture_file"] = sec["mixture_file"].strip()
-        for key, cast in (
-            ("circle_K", int),
-            ("circle_radius", float),
-            ("circle_std", float),
-            ("start_t", int),
-            ("split", int),
-            ("n_fit", int),
-            ("n_mc", int),
-            ("expansion_cap", int),
-        ):
-            if sec.get(key, "").strip():
-                changes[key] = cast(sec[key].strip())
-        if sec.get("k_grid", "").strip():
-            changes["k_grid"] = tuple(int(v) for v in sec["k_grid"].split())
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            if not text.strip():
+                continue
+            field_name, read = _FILE_KEYS[section][key]
+            value = read(text.strip())
+            if isinstance(field_name, tuple):
+                changes.update(zip(field_name, value))
+            else:
+                changes[field_name] = value
     return replace(cfg, **changes)
 
 
@@ -616,10 +609,7 @@ def run_gmm_approx(cfg: ExperimentConfig) -> GmmApproxResult:
         sampler = NoisySampler(gmm=gmm, sched=sched, t=t_hi)
         fit_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, 1)))
         samples = sampler.sample(cfg.n_fit, fit_rng)
-        fit = _compress(
-            expansion, samples, method="greedy_affine",
-            n_clusters=gmm.K, seed=_child_seed(cfg.seed, k, 2),
-        )
+        fit = _compress(expansion, samples, n_clusters=gmm.K, seed=_child_seed(cfg.seed, k, 2))
         mc = mc_distillation_loss(
             fit.student, None, sampler, cfg.n_mc, seed=_child_seed(cfg.seed, k, 3)
         )
@@ -679,8 +669,7 @@ def run_gmm_propagate(cfg: ExperimentConfig) -> PropagateResult:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 13)))
     samples = sampler.sample(cfg.n_fit, rng)
     merged = _compress(
-        expansion, samples, method="greedy_affine",
-        n_clusters=gmm.K, seed=_child_seed(cfg.seed, 14),
+        expansion, samples, n_clusters=gmm.K, seed=_child_seed(cfg.seed, 14)
     ).student
 
     teacher_ops = [single_step_moe(gmm, sched, t) for t in range(T, 0, -1)]

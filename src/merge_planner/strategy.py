@@ -41,7 +41,6 @@ __all__ = [
     "plan_label",
     "evaluate_plan",
     "plan_entries",
-    "count_plans",
     "internal_nodes",
     "format_plan",
     "parse_plan",
@@ -213,18 +212,6 @@ def plan_entries(plan: MergePlan, single: np.ndarray, gamma: np.ndarray) -> np.n
         g = gamma[plan.interval[1] - 1]
         return (1.0 - g) * (left * right) + g * right
     raise TypeError(f"malformed plan node: {plan!r}")
-
-
-def count_plans(T: int) -> int:
-    """Number of distinct plan shapes: ``C(1) = 1``, ``C(L) = 1 + sum_m C(m) * C(L - m)``."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    counts = [0, 1]
-    for length in range(2, T + 1):
-        counts.append(
-            1 + sum(counts[m] * counts[length - m] for m in range(1, length))
-        )
-    return counts[T]
 
 
 def internal_nodes(plan: MergePlan) -> Iterator[tuple[MergePlan, int]]:

@@ -1,14 +1,19 @@
-"""Test-side reference: the gather-loop cluster moments.
+"""Test-side references: the gather-loop cluster moments and the exhaustive partition oracle.
 
 The library's ``_cluster_moments`` reads each chunk's weights
 component-major, every cluster's as a block of rows, forms each cluster's
 expert outputs inside its cluster loop, and writes out the matmuls
-``np.einsum(..., optimize=True)`` runs.  The code here is the form that
-replaced: the expert outputs of the whole expansion per chunk, then per
-cluster fancy gathers of the sample-major arrays and the optimized einsum
-on them, with each chunk's weights taken from the public
+``np.einsum(..., optimize=True)`` runs.  ``cluster_moments`` here is the
+form that replaced: the expert outputs of the whole expansion per chunk,
+then per cluster fancy gathers of the sample-major arrays and the optimized
+einsum on them, with each chunk's weights taken from the public
 ``expansion.gating.weights``, not from the fitting set.  It is kept as the
 bit-identity reference the tests compare against.
+
+Every command partitions the expanded components with the library's
+greedy mass-weighted k-means (``choose_partition``).
+``exhaustive_partition`` enumerates every partition instead and returns
+the one with the least bound; it is the oracle the greedy bound is held to.
 """
 
 from __future__ import annotations
@@ -17,7 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from merge_planner.gmm import _rowsum
+from merge_planner.gmm import _cluster_moments, _fitting_set, _rowsum, _solve_normal
+
+# the exhaustive search's tie tolerance, as a fraction of the zero student's
+# bound; rounding moved bounds by about 1e-16 of it
+_PARTITION_TIE_RTOL = 1e-12
 
 
 def cluster_moments(fitting, groups: Sequence[np.ndarray]):
@@ -50,3 +59,57 @@ def cluster_moments(fitting, groups: Sequence[np.ndarray]):
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
     return H, R, qfull, cquad
+
+
+def exhaustive_partition(expansion, samples, n_clusters: int) -> list[list[int]]:
+    """The partition into at most ``n_clusters`` groups with the least bound.
+
+    Guarded to <= 9 components and <= 3 clusters.  A bound is a sum of
+    ``q - tr(M R)`` terms that add up to about the zero student's bound
+    ``q.sum()``, so its rounding scales with that sum: bounds within
+    ``_PARTITION_TIE_RTOL * q.sum()`` of the least are tied, and the
+    lexicographically smallest partition (sorted groups, ordered by first
+    member, as enumerated) wins, as the DP breaks ties by the smallest plan.
+    """
+    C = expansion.n_experts
+    if C > 9 or n_clusters > 3:
+        raise ValueError(
+            "exhaustive partition search is guarded to <= 9 components and <= 3 clusters"
+        )
+    # the moments are additive over cluster members: compute them once per
+    # component and sum them per candidate group
+    fitting = _fitting_set(expansion, samples)
+    H, R, q, _ = _cluster_moments(fitting, [np.array([c]) for c in range(C)])
+    partitions = list(restricted_partitions(C, n_clusters))
+    bounds = np.array([_partition_bound(H, R, q, partition) for partition in partitions])
+    tied = np.flatnonzero(bounds <= bounds.min() + _PARTITION_TIE_RTOL * q.sum())
+    return min(partitions[i] for i in tied)
+
+
+def restricted_partitions(n: int, max_blocks: int):
+    """All set partitions of range(n) into at most ``max_blocks`` blocks."""
+
+    def rec(i: int, blocks: list[list[int]]):
+        if i == n:
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        if len(blocks) < max_blocks:
+            blocks.append([i])
+            yield from rec(i + 1, blocks)
+            blocks.pop()
+
+    yield from rec(0, [])
+
+
+def _partition_bound(H: np.ndarray, R: np.ndarray, q: np.ndarray, partition) -> float:
+    """The bound of ``partition`` from per-component moments, summed group by group."""
+    bound = 0.0
+    for group in partition:
+        Rk = R[group].sum(axis=0)
+        M, _ = _solve_normal(H[group].sum(axis=0), Rk)
+        bound += q[group].sum() - float(np.sum(M * Rk))
+    return bound

@@ -1,11 +1,12 @@
-"""Test-side references: plan-object enumeration, object merges, the object-loop oracle
-and the sort-filter skyline.
+"""Test-side references: plan-object enumeration and its count, object merges, the
+object-loop oracle and the sort-filter skyline.
 
 The library evaluates plans on arrays (``plan_entries``), finds the
 brute-force optimum by one bottom-up array enumeration and prunes DP cells
 with one divide-and-conquer skyline.  The code here is the object-per-node
 form and the block filter those replaced, kept as the bit-identity
-references the tests compare against.
+references the tests compare against.  ``count_plans`` is the plan-count
+recurrence the enumeration is checked against.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def merge(left: DiagOperator, right: DiagOperator, shrink: ShrinkageProfile) -> 
         raise ValueError(
             f"blocks are not contiguous: left covers ({t1},{m}), right covers ({m2},{t2})"
         )
-    g = shrink.gamma_at(t2)
+    g = shrink.gamma[t2 - 1]
     entries = (1.0 - g) * (left.entries * right.entries) + g * right.entries
     return DiagOperator(entries=entries, interval=(t1, t2))
 
@@ -76,10 +77,22 @@ def direct_merge(
     if t1 == t2:
         return single_step_operator(sched, data, t1)
     single = single_step_matrix(sched, data)
-    g = shrink.gamma_at(t2)
+    g = shrink.gamma[t2 - 1]
     prod = _interval_product(single, t1, t2)
     entries = (1.0 - g) * prod + g * single[t2 - 1]
     return DiagOperator(entries=entries, interval=(t1, t2))
+
+
+def count_plans(T: int) -> int:
+    """Number of distinct plan shapes: ``C(1) = 1``, ``C(L) = 1 + sum_m C(m) * C(L - m)``."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    counts = [0, 1]
+    for length in range(2, T + 1):
+        counts.append(
+            1 + sum(counts[m] * counts[length - m] for m in range(1, length))
+        )
+    return counts[T]
 
 
 def enumerate_plans(T: int) -> Iterator[MergePlan]:

@@ -9,7 +9,7 @@ import pytest
 
 import merge_planner
 from merge_planner import report
-from merge_planner.cli import main
+from merge_planner.cli import _overrides, build_parser, main
 from merge_planner.linear_op import DiagGaussian, shrinkage, surrogate_target
 from merge_planner.pareto_dp import pareto_dp
 from merge_planner.schedule import make_cosine_schedule
@@ -182,6 +182,19 @@ def test_schedule_file_without_file_kind_is_a_usage_error(tmp_path, capsys, comm
     assert f"merge-planner: error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "sweep", "gmm-approx", "gmm-propagate"])
+def test_schedule_file_flag_only_where_a_schedule_file_runs(capsys, command):
+    argv = [command, "--schedule-file", "s.csv"]
+    if command == "sweep":  # sweeps are defined on the built-in cosine schedule
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schedule-file s.csv" in capsys.readouterr().err
+        return
+    over = _overrides(build_parser().parse_args(argv), command)
+    assert over["schedule_file"] == "s.csv" and over["schedule"] == "file"
 
 
 def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gmm_reference import cluster_moments
+import gmm_reference
+from gmm_reference import cluster_moments, exhaustive_partition
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
@@ -437,12 +438,8 @@ class TestChoosePartition:
             ops = [single_step_moe(gmm, sched, 8), single_step_moe(gmm, sched, 7)]
             expansion = compose_expand(ops)
             samples = NoisySampler(gmm=gmm, sched=sched, t=8).sample(512, rng)
-            greedy = choose_partition(
-                expansion, samples, "greedy_affine", n_clusters=2, seed=trial
-            )
-            exhaustive = choose_partition(
-                expansion, samples, "exhaustive", n_clusters=2
-            )
+            greedy = choose_partition(expansion, samples, n_clusters=2, seed=trial)
+            exhaustive = exhaustive_partition(expansion, samples, n_clusters=2)
             b_greedy = fit_cluster_student(expansion, greedy, samples).bound
             b_exhaustive = fit_cluster_student(expansion, exhaustive, samples).bound
             assert b_greedy <= 2.0 * b_exhaustive + 1e-12
@@ -460,8 +457,10 @@ class TestChoosePartition:
         expansion = compose_expand(ops)
         rng = np.random.default_rng(13)
         samples = NoisySampler(gmm=distinct, sched=sched32, t=10).sample(512, rng)
-        for method in ("greedy_affine", "exhaustive"):
-            partition = choose_partition(expansion, samples, method, n_clusters=2, seed=1)
+        for partition in (
+            choose_partition(expansion, samples, n_clusters=2, seed=1),
+            exhaustive_partition(expansion, samples, n_clusters=2),
+        ):
             fit = fit_cluster_student(expansion, partition, samples)
             assert fit.bound <= 1e-12
 
@@ -485,10 +484,10 @@ class TestChoosePartition:
             expansion = compose_expand(ops)
             samples = NoisySampler(gmm=mixtures[0], sched=sched, t=t).sample(256, rng)
             n_clusters = 2 + trial // 2 % 2
-            chosen = choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters)
+            chosen = exhaustive_partition(expansion, samples, n_clusters=n_clusters)
             best = min(
                 fit_cluster_student(expansion, partition, samples).bound
-                for partition in gmm_module._restricted_partitions(
+                for partition in gmm_reference.restricted_partitions(
                     expansion.n_experts, n_clusters
                 )
             )
@@ -510,25 +509,20 @@ class TestChoosePartition:
         t = int(rng.integers(3, 14))
         expansion = compose_expand([single_step_moe(gmm, sched, t), single_step_moe(gmm, sched, t - 1)])
         samples = NoisySampler(gmm=gmm, sched=sched, t=t).sample(256, rng)
-        chosen = choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters)
-        bound = gmm_module._partition_bound
+        chosen = exhaustive_partition(expansion, samples, n_clusters=n_clusters)
+        bound = gmm_reference._partition_bound
         monkeypatch.setattr(
-            gmm_module,
+            gmm_reference,
             "_partition_bound",
             lambda H, R, q, partition: bound(H, R, q, [g[::-1] for g in partition[::-1]]),
         )
-        assert choose_partition(expansion, samples, "exhaustive", n_clusters=n_clusters) == chosen
+        assert exhaustive_partition(expansion, samples, n_clusters=n_clusters) == chosen
 
     def test_exhaustive_guard(self, sched32, circle8):
         ops = [single_step_moe(circle8, sched32, t) for t in (32, 31)]
         expansion = compose_expand(ops)
         with pytest.raises(ValueError, match="guarded"):
-            choose_partition(expansion, np.zeros((4, 2)), "exhaustive", n_clusters=3)
-
-    def test_unknown_method(self, sched32, circle8):
-        expansion = compose_expand([single_step_moe(circle8, sched32, 16)])
-        with pytest.raises(ValueError, match="unknown"):
-            choose_partition(expansion, np.zeros((4, 2)), "fancy", n_clusters=2)
+            exhaustive_partition(expansion, np.zeros((4, 2)), n_clusters=3)
 
 
 class TestMcLoss:
@@ -815,12 +809,9 @@ class TestGatingOnce:
             == want.student.gating.membership.tobytes()
         )
 
-    @pytest.mark.parametrize(
-        "K, steps, method, n_clusters",
-        [(8, 3, "greedy_affine", 8), (3, 2, "exhaustive", 3), (8, 1, "greedy_affine", 8)],
-    )
+    @pytest.mark.parametrize("K, steps, n_clusters", [(8, 3, 8), (3, 2, 3), (8, 1, 8)])
     def test_compress_equals_partition_then_fit_across_chunks(
-        self, monkeypatch, sched32, K, steps, method, n_clusters
+        self, monkeypatch, sched32, K, steps, n_clusters
     ):
         monkeypatch.setattr(gmm_module, "_chunk_size", lambda n_components: 100)
         gmm = make_circle_mixture(K)
@@ -829,12 +820,8 @@ class TestGatingOnce:
         samples = NoisySampler(gmm=gmm, sched=sched32, t=20).sample(
             350, np.random.default_rng(21)
         )
-        fit = gmm_module._compress(
-            expansion, samples, method=method, n_clusters=n_clusters, seed=5
-        )
-        partition = choose_partition(
-            expansion, samples, method=method, n_clusters=n_clusters, seed=5
-        )
+        fit = gmm_module._compress(expansion, samples, n_clusters=n_clusters, seed=5)
+        partition = choose_partition(expansion, samples, n_clusters=n_clusters, seed=5)
         self._assert_same_fit(fit, fit_cluster_student(expansion, partition, samples))
         assert fit.student.gating.membership.shape == (K**steps, len(partition))
         # each chunk's component-major weights have the bits of gating that

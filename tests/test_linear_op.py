@@ -10,7 +10,6 @@ from merge_planner.linear_op import (
     ShrinkageProfile,
     composite_operator,
     contraction_certificate,
-    diagonalize_covariance,
     gradient_flow_trajectory,
     shrinkage,
     single_step_matrix,
@@ -305,7 +304,7 @@ class TestDirectMerge:
         out = direct_merge(sched, data, shrink, 1, 2)
         a1 = single_step_operator(sched, data, 1).entries[0]
         a2 = single_step_operator(sched, data, 2).entries[0]
-        g = shrink.gamma_at(2)[0]
+        g = shrink.gamma[1][0]
         assert out.entries[0] == pytest.approx((1 - g) * a1 * a2 + g * a2, abs=1e-15)
 
     def test_invalid_interval(self, sched32):
@@ -368,37 +367,15 @@ class TestW2Objective:
 
 
 class TestDiagonalizeCovariance:
-    def test_already_diagonal(self):
-        U, lam = diagonalize_covariance(np.diag([1.0, 3.0, 2.0]))
-        np.testing.assert_array_equal(lam, [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(np.abs(U), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
-
-    def test_classic_two_by_two(self):
-        U, lam = diagonalize_covariance([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(lam, [3.0, 1.0], atol=1e-14)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(17)
-        B = rng.normal(size=(5, 5))
-        Sigma = B @ B.T
-        U, lam = diagonalize_covariance(Sigma)
-        assert np.max(np.abs(U @ np.diag(lam) @ U.T - Sigma)) <= 1e-8
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            diagonalize_covariance([[1.0, 0.5], [0.0, 1.0]])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="indefinite"):
-            diagonalize_covariance([[1.0, 0.0], [0.0, -1.0]])
-
     def test_basis_invariance_of_objective(self, sched32):
         # the squared objective equals the Frobenius distance of the diagonal
         # operators, which orthogonal conjugation preserves
         rng = np.random.default_rng(23)
         B = rng.normal(size=(4, 4)) * 0.6
         Sigma = B @ B.T + 0.1 * np.eye(4)
-        U, lam = diagonalize_covariance(Sigma)
+        vals, vecs = np.linalg.eigh(Sigma)
+        order = np.argsort(vals)[::-1]  # descending, as DiagGaussian sorts lam
+        U, lam = vecs[:, order], vals[order]
         data = DiagGaussian(lam)
         shrink = shrinkage(sched32, data, 6.4)
         surr = surrogate_target(sched32, data)

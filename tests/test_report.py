@@ -1,3 +1,4 @@
+import configparser
 import re
 from pathlib import Path
 
@@ -103,6 +104,41 @@ class TestConfig:
             assert isinstance(cfg.out_dir, Path) and cfg.out_dir == Path("res")
             assert isinstance(cfg.schedule_file, Path) and cfg.schedule_file == Path("s.csv")
             assert isinstance(cfg.mixture_file, Path) and cfg.mixture_file == Path("m.txt")
+
+    def test_every_file_key_lands_in_its_field(self, tmp_path):
+        text = (
+            "[experiment]\nkind = sweep\nT = 16\ns = 3.2\nseed = 9\nout = res\n"
+            "schedule = file\nschedule_file = s.csv\n"
+            "[lambda]\nvalues = 0.5 1.0 2.0\ngrid = linear 1.0 2.0 3\n"
+            "[sweep]\nT_grid = 8 16\ns_grid = 1.6 3.2\n"
+            "[gmm]\nmixture_file = m.txt\ncircle_K = 4\ncircle_radius = 2.5\n"
+            "circle_std = 0.1\nk_grid = 1 2\nstart_t = 12\nsplit = 5\nn_fit = 512\n"
+            "n_mc = 5000\nexpansion_cap = 64\n"
+        )
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        # the file sets every key the loader accepts
+        assert {name: set(parser[name]) for name in parser.sections()} == {
+            name: set(keys) for name, keys in report_module._FILE_KEYS.items()
+        }
+        expected = {
+            "kind": "sweep", "T": 16, "s_train": 3.2, "seed": 9, "out_dir": Path("res"),
+            "schedule": "file", "schedule_file": Path("s.csv"),
+            "lam_values": (0.5, 1.0, 2.0), "lambda_grid": "linear", "lambda_min": 1.0,
+            "lambda_max": 2.0, "lambda_points": 3,
+            "T_grid": (8, 16), "s_grid": (1.6, 3.2),
+            "mixture_file": Path("m.txt"), "circle_K": 4, "circle_radius": 2.5,
+            "circle_std": 0.1, "k_grid": (1, 2), "start_t": 12, "split": 5, "n_fit": 512,
+            "n_mc": 5000, "expansion_cap": 64,
+        }
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        cfg = load_config(path, env={})
+        default = ExperimentConfig()
+        for name, value in expected.items():
+            assert getattr(default, name) != value, name
+            assert getattr(cfg, name) == value, name
+
 
     def test_default_sweep_grid(self):
         cfg = ExperimentConfig(kind="sweep")

@@ -19,7 +19,6 @@ from merge_planner.strategy import (
     MergeNode,
     OneShot,
     PlanLabel,
-    count_plans,
     evaluate_plan,
     format_plan,
     internal_nodes,
@@ -32,7 +31,13 @@ from merge_planner.strategy import (
     plan_vanilla,
 )
 
-from plan_reference import direct_merge, enumerate_plans, merge, object_brute_force_optimum
+from plan_reference import (
+    count_plans,
+    direct_merge,
+    enumerate_plans,
+    merge,
+    object_brute_force_optimum,
+)
 
 
 class TestCanonicalPlans:
