@@ -210,6 +210,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     to ``log(sum(exp(a)))`` on C-contiguous rows.  A plain max-shift
     log-sum-exp differs in the last ulp, which is enough to flip a k-means
     partition downstream.  Every step runs over rows of ``n``.
+
+    The max entries are zeroed as ``e -= at_max``: at a finite max their
+    ``exp(0)`` is exactly 1.0, and a non-finite max makes the column
+    non-finite, which the fallback recomputes anyway.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a[0].copy()
@@ -218,10 +222,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         at_max = a == a_max
         e = a - a_max
         np.exp(e, out=e)
-        e[at_max] = 0.0
-        # ``_rowsum``'s tree without its trailing ``+= 0.0``: neither sum can be -0.0
+        e -= at_max
+        # ``_rowsum``'s tree without its trailing ``+= 0.0``: the sum cannot be -0.0
         s = _pairwise_columns(e.T, 0, a.shape[0])
-        m = _pairwise_columns(at_max.astype(np.float64).T, 0, a.shape[0])
+        del e
+        m = np.count_nonzero(at_max, axis=0)
         out = np.log1p(s / m) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
@@ -238,35 +243,45 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     Returns a C-contiguous ``(n, K)`` array (``(K,)`` for a single point).
 
     Internally ``z^T`` is held as ``(d, n)`` and the log-weights as
-    ``(K, n)``, so every elementwise step and reduction runs over contiguous
-    rows of ``n``.  The rotation into each component's eigenbasis stays the
-    BLAS call ``(z^T - alpha_t mu_k).T @ vecs[k]`` on an F-order ``(n, d)``
-    operand, then is laid out as ``(d, n)``.  Writing it ``vecs[k].T @ z^T``
-    would run another BLAS kernel (``gemv`` at n = 1), whose rounding need
-    not match.
+    ``(K, n)``, so every elementwise step and reduction runs over rows of
+    ``n``.  The rotation into the eigenbases is one stacked ``matmul`` of
+    the ``(K, d, n)`` shifted points, transposed, by ``vecs``: for each
+    component NumPy runs the BLAS call ``(z^T - alpha_t mu_k).T @ vecs[k]``
+    on an F-order ``(n, d)`` operand.  Writing it ``vecs[k].T @ z^T`` would
+    run another BLAS kernel (``gemv`` at n = 1), whose rounding need not
+    match.  Below 8 coordinates the squared coordinates are divided and
+    summed one ``(K, n)`` plane at a time, the order of ``_rowsum``'s tree;
+    a divide broadcast over the last axis of ``(K, n, d)`` would run
+    NumPy's inner loop at width d.
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
     z2, single = _as_batch(z)
     shift, noisy_vals, log_pi, norm = gmm._gating_constants(sched, t)
-    vecs = gmm._eig_vecs
     zT = np.ascontiguousarray(z2.T)
-    y = np.empty((gmm.K, gmm.d, z2.shape[0]))  # per component, y^T of the rotated points
-    for k in range(gmm.K):
-        y[k] = ((zT - shift[k][:, None]).T @ vecs[k]).T
+    y = np.matmul((zT[None] - shift[:, :, None]).transpose(0, 2, 1), gmm._eig_vecs)  # (K, n, d)
     y *= y
-    y /= noisy_vals[:, :, None]
     # (K, n): ``_rowsum``'s tree; its trailing ``+= 0.0`` is moot on a sum of squares
-    quad = _pairwise_columns(y.transpose(0, 2, 1), 0, gmm.d)
-    del y  # free the (K, d, n) rotations before the log-sum-exp's temporaries
-    lw = log_pi[:, None] - 0.5 * (norm[:, None] + quad)
+    if gmm.d < 8:
+        lw = y[:, :, 0] / noisy_vals[:, 0, None]
+        for i in range(1, gmm.d):
+            lw += y[:, :, i] / noisy_vals[:, i, None]
+    else:
+        y /= noisy_vals[:, None, :]
+        lw = _pairwise_columns(y, 0, gmm.d)
+    del y  # free the rotations before the log-sum-exp's temporaries
+    # ``log pi - 0.5 (norm + quad)``, exactly: -(0.5 x) = (-0.5) x and a - b = a + (-b)
+    lw += norm[:, None]
+    lw *= -0.5
+    lw += log_pi[:, None]
     lw -= _logsumexp(lw)
     return lw[:, 0].copy() if single else np.ascontiguousarray(lw.T)
 
 
 def posterior_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z) -> np.ndarray:
     """Normalized posterior responsibilities ``gamma_{k,t}(z)``."""
-    return np.exp(posterior_log_weights(gmm, sched, t, z))
+    w = posterior_log_weights(gmm, sched, t, z)
+    return np.exp(w, out=w)
 
 
 def optimal_mixture_denoiser(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z) -> np.ndarray:
@@ -783,8 +798,13 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
             # sum adds in the gathers' order; a C-order operand changes its bits
             gsq = np.asfortranarray(_rowsum(g))  # (m, n_k)
             qfull[k] += float(np.sum(wk * gsq))
+            # ``_rowsum`` has the bits of ``np.sum(..., axis=1)``, and ``x ** 2`` is ``x * x``
             pos = Wk > 0.0
-            cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
+            if pos.all():
+                cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk))
+            else:
+                Sp = Sk[pos]
+                cquad[k] += float(np.sum(_rowsum(Sp * Sp) / Wk[pos]))
     return H, R, qfull, cquad
 
 

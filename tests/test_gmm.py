@@ -1035,7 +1035,7 @@ def _random_mixture(rng, K, d):
 @st.composite
 def _gating_cases(draw):
     K = draw(st.integers(1, 9))
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 9))  # both sides of the per-plane sum's d < 8 bound
     n = draw(st.one_of(st.just(1), st.integers(2, 16), st.integers(17, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T = draw(st.integers(1, 40))
@@ -1081,6 +1081,20 @@ class TestPosteriorGatingOracle:
                 assert got.shape == want.shape
                 assert got.flags["C_CONTIGUOUS"]
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K, d, n", [(3, 2, 250_001), (2, 8, 20_000)])
+    def test_matches_reference_above_small_gemm_bound(self, K, d, n):
+        # n d^2 above OpenBLAS's small-matrix bound: each component's rotation
+        # runs the blocked GEMM kernel, not the small-matrix one
+        assert n * d * d > gmm_module._SMALL_GEMM
+        rng = np.random.default_rng(n + d)
+        gmm = _random_mixture(rng, K, d)
+        sched = make_cosine_schedule(10)
+        z = rng.standard_normal((n, d)) * 5.0
+        for t in (1, 10):
+            want = _reference_posterior_log_weights(gmm, sched, t, z)
+            got = gmm_module.posterior_log_weights(gmm, sched, t, z)
+            assert got.tobytes() == want.tobytes()
 
     def test_constants_are_cached_per_schedule_and_level(self, circle8):
         sched_a, sched_b = make_cosine_schedule(8), make_cosine_schedule(8)
@@ -1233,6 +1247,30 @@ class TestClusterMoments:
         assert len(list(fitting.weights())) == (3 if chunk == 256 else 1)
         labels = rng.integers(0, 4, size=25)
         groups = [np.flatnonzero(labels == k) for k in range(5)]  # group 4 is empty
+        _assert_same_moments(
+            gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
+        )
+
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_reference_with_zero_weight_samples(self, d):
+        # cluster 0 weighs exactly nothing on some samples, which ``cquad`` skips;
+        # cluster 1 weighs something on every sample
+        rng = np.random.default_rng(60 + d)
+        n, C = 300, 12
+        w = rng.random((n, C)) + 0.01
+        w[:, :4][rng.random((n, 4)) < 0.5] = 0.0
+        w[:40, :4] = 0.0
+        expansion = MoeOperator(
+            A=rng.standard_normal((C, d, d)),
+            b=rng.standard_normal((C, d)),
+            gating=_TableGating(ops=(), tables=(w,)),
+            interval=(1, 1),
+        )
+        # the table gating reads a sample's row from its first coordinate
+        samples = np.column_stack([np.arange(n, dtype=np.float64), rng.standard_normal((n, d - 1))])
+        fitting = gmm_module._FittingSet(expansion, samples)
+        groups = [np.arange(4), np.arange(4, C)]
         _assert_same_moments(
             gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
         )
