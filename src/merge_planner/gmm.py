@@ -250,9 +250,11 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     on an F-order ``(n, d)`` operand.  Writing it ``vecs[k].T @ z^T`` would
     run another BLAS kernel (``gemv`` at n = 1), whose rounding need not
     match.  Below 8 coordinates the squared coordinates are divided and
-    summed one ``(K, n)`` plane at a time, the order of ``_rowsum``'s tree;
-    a divide broadcast over the last axis of ``(K, n, d)`` would run
-    NumPy's inner loop at width d.
+    summed one ``(K, n)`` plane at a time, in the order of ``_rowsum``'s
+    tree: a divide broadcast over the last axis of ``(K, n, d)`` runs
+    NumPy's inner loop at width d, which is slowest at small d.  From 8
+    coordinates on, the tree is ``_pairwise_columns`` of the divided
+    ``(K, n, d)`` squares.
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
@@ -798,13 +800,12 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
             # sum adds in the gathers' order; a C-order operand changes its bits
             gsq = np.asfortranarray(_rowsum(g))  # (m, n_k)
             qfull[k] += float(np.sum(wk * gsq))
-            # ``_rowsum`` has the bits of ``np.sum(..., axis=1)``, and ``x ** 2`` is ``x * x``
+            # over the samples with W > 0, gathered only if some have W = 0;
+            # ``_rowsum(S * S)`` has the bits of ``np.sum(S ** 2, axis=1)``
             pos = Wk > 0.0
-            if pos.all():
-                cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk))
-            else:
-                Sp = Sk[pos]
-                cquad[k] += float(np.sum(_rowsum(Sp * Sp) / Wk[pos]))
+            if not pos.all():
+                Sk, Wk = Sk[pos], Wk[pos]
+            cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk))
     return H, R, qfull, cquad
 
 
