@@ -243,18 +243,15 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     Returns a C-contiguous ``(n, K)`` array (``(K,)`` for a single point).
 
     Internally ``z^T`` is held as ``(d, n)`` and the log-weights as
-    ``(K, n)``, so every elementwise step and reduction runs over rows of
-    ``n``.  The rotation into the eigenbases is one stacked ``matmul`` of
-    the ``(K, d, n)`` shifted points, transposed, by ``vecs``: for each
-    component NumPy runs the BLAS call ``(z^T - alpha_t mu_k).T @ vecs[k]``
-    on an F-order ``(n, d)`` operand.  Writing it ``vecs[k].T @ z^T`` would
-    run another BLAS kernel (``gemv`` at n = 1), whose rounding need not
-    match.  Below 8 coordinates the squared coordinates are divided and
-    summed one ``(K, n)`` plane at a time, in the order of ``_rowsum``'s
-    tree: a divide broadcast over the last axis of ``(K, n, d)`` runs
-    NumPy's inner loop at width d, which is slowest at small d.  From 8
-    coordinates on, the tree is ``_pairwise_columns`` of the divided
-    ``(K, n, d)`` squares.
+    ``(K, n)``, so every elementwise step and reduction runs over contiguous
+    rows of ``n``.  The rotation into the eigenbases is one stacked
+    ``matmul`` of the ``(K, d, n)`` shifted points, transposed, by ``vecs``:
+    for each component NumPy runs the BLAS call
+    ``(z^T - alpha_t mu_k).T @ vecs[k]`` on an F-order ``(n, d)`` operand.
+    Writing it ``vecs[k].T @ z^T`` would run another BLAS kernel (``gemv``
+    at n = 1), whose rounding need not match.  The ``(K, n, d)`` rotations
+    are then laid out as ``(K, d, n)``, so the square and the divide run
+    over rows of ``n``, not NumPy's inner loop at width d.
     """
     if not 1 <= t <= sched.T:
         raise ValueError(f"t must be in [1, {sched.T}], got {t}")
@@ -262,15 +259,11 @@ def posterior_log_weights(gmm: GaussianMixture, sched: NoiseSchedule, t: int, z)
     shift, noisy_vals, log_pi, norm = gmm._gating_constants(sched, t)
     zT = np.ascontiguousarray(z2.T)
     y = np.matmul((zT[None] - shift[:, :, None]).transpose(0, 2, 1), gmm._eig_vecs)  # (K, n, d)
+    y = np.ascontiguousarray(y.transpose(0, 2, 1))  # (K, d, n): y^T of the rotated points
     y *= y
+    y /= noisy_vals[:, :, None]
     # (K, n): ``_rowsum``'s tree; its trailing ``+= 0.0`` is moot on a sum of squares
-    if gmm.d < 8:
-        lw = y[:, :, 0] / noisy_vals[:, 0, None]
-        for i in range(1, gmm.d):
-            lw += y[:, :, i] / noisy_vals[:, i, None]
-    else:
-        y /= noisy_vals[:, None, :]
-        lw = _pairwise_columns(y, 0, gmm.d)
+    lw = _pairwise_columns(y.transpose(0, 2, 1), 0, gmm.d)
     del y  # free the rotations before the log-sum-exp's temporaries
     # ``log pi - 0.5 (norm + quad)``, exactly: -(0.5 x) = (-0.5) x and a - b = a + (-b)
     lw += norm[:, None]
@@ -800,12 +793,11 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
             # sum adds in the gathers' order; a C-order operand changes its bits
             gsq = np.asfortranarray(_rowsum(g))  # (m, n_k)
             qfull[k] += float(np.sum(wk * gsq))
-            # over the samples with W > 0, gathered only if some have W = 0;
-            # ``_rowsum(S * S)`` has the bits of ``np.sum(S ** 2, axis=1)``
+            # over the samples with W > 0; ``_rowsum(S * S)`` has the bits of
+            # ``np.sum(S ** 2, axis=1)``
             pos = Wk > 0.0
-            if not pos.all():
-                Sk, Wk = Sk[pos], Wk[pos]
-            cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk))
+            Sk = Sk[pos]
+            cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk[pos]))
     return H, R, qfull, cquad
 
 
