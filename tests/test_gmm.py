@@ -1035,7 +1035,7 @@ def _random_mixture(rng, K, d):
 @st.composite
 def _gating_cases(draw):
     K = draw(st.integers(1, 9))
-    d = draw(st.integers(1, 9))  # both sides of the per-plane sum's d < 8 bound
+    d = draw(st.integers(1, 9))  # both sides of ``_pairwise_columns``' 8-column bound
     n = draw(st.one_of(st.just(1), st.integers(2, 16), st.integers(17, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T = draw(st.integers(1, 40))
