@@ -657,18 +657,18 @@ def _fitting_set(expansion: MoeOperator, samples) -> _FittingSet:
 
 
 def _validate_partition(partition: Sequence[Sequence[int]], n_components: int) -> list[np.ndarray]:
-    seen: set[int] = set()
-    groups = []
-    for group in partition:
-        idx = np.asarray(sorted(int(i) for i in group), dtype=np.intp)
-        if np.any(idx < 0) or np.any(idx >= n_components):
-            raise ValueError("partition indices out of range")
-        overlap = seen.intersection(idx.tolist())
-        if overlap:
-            raise ValueError(f"partition groups overlap on {sorted(overlap)}")
-        seen.update(idx.tolist())
-        groups.append(idx)
-    if len(seen) != n_components:
+    groups = [np.sort(np.asarray(group, dtype=np.intp)) for group in partition]
+    flat = np.concatenate(groups) if groups else np.zeros(0, dtype=np.intp)
+    if np.any((flat < 0) | (flat >= n_components)):
+        raise ValueError("partition indices out of range")
+    counts = np.bincount(flat, minlength=n_components)
+    if np.any(counts > 1):
+        for k, idx in enumerate(groups):
+            repeated = np.unique(idx[1:][idx[1:] == idx[:-1]])
+            if repeated.size:
+                raise ValueError(f"partition group {k} repeats index {repeated.tolist()}")
+        raise ValueError(f"partition groups overlap on {np.flatnonzero(counts > 1).tolist()}")
+    if flat.size != n_components:
         raise ValueError("partition must cover every expanded component exactly once")
     return groups
 
@@ -796,26 +796,36 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
             # over the samples with W > 0; ``_rowsum(S * S)`` has the bits of
             # ``np.sum(S ** 2, axis=1)``
             pos = Wk > 0.0
-            Sk = Sk[pos]
-            cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk[pos]))
+            if not pos.all():
+                Sk, Wk = Sk[pos], Wk[pos]
+            cquad[k] += float(np.sum(_rowsum(Sk * Sk) / Wk))
     return H, R, qfull, cquad
 
 
 def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
     """``M = R H^{-1}`` by Cholesky, and whether ``H`` was rank-deficient.
 
-    A rank-deficient ``H`` is factored as ``H + 1e-10 I`` instead.
+    A rank-deficient ``H`` is factored as ``H + 1e-10 I`` instead.  The
+    LAPACK calls are those of ``scipy.linalg.cho_factor`` and ``cho_solve``
+    (upper factor), so ``M`` has their bits, and non-finite input raises
+    ``ValueError`` as their ``check_finite`` does; the wrappers' other checks
+    cost about 13 times the two calls at d = 2.
     """
     # Imported here so that processes which never fit a mixture never load SciPy.
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
-    try:
-        factor = cho_factor(H)
-        ridged = False
-    except np.linalg.LinAlgError:
-        factor = cho_factor(H + _RIDGE * np.eye(H.shape[0]))
-        ridged = True
-    return cho_solve(factor, R.T).T, ridged
+    if not (np.isfinite(H).all() and np.isfinite(R).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(H, lower=0, clean=0)
+    ridged = info > 0
+    if ridged:
+        factor, info = dpotrf(H + _RIDGE * np.eye(H.shape[0]), lower=0, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+    M, _ = dpotrs(factor, R.T, lower=0)
+    return M.T, ridged
 
 
 def _component_masses(fitting: _FittingSet) -> np.ndarray:
@@ -829,15 +839,21 @@ def _component_masses(fitting: _FittingSet) -> np.ndarray:
 
 
 def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Mass-weighted Lloyd iteration with seeded kmeans++ initialization."""
+    """Mass-weighted Lloyd iteration with seeded kmeans++ initialization.
+
+    The seeding keeps each point's distance to its nearest center as a
+    running minimum, updated with the newest center only.  Each iteration
+    sorts the points by label once (stably), so a cluster's members are one
+    basic slice, in the order a boolean mask would gather them: its mass and
+    weighted sum add the same values in the same order, with the same bits.
+    """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     probs = masses + 1e-15
     centers = [points[rng.choice(n, p=probs / probs.sum())]]
+    dist = np.full(n, np.inf)
     for _ in range(1, k):
-        dist = np.min(
-            np.stack([np.sum((points - c) ** 2, axis=1) for c in centers]), axis=0
-        )
+        np.minimum(dist, np.sum((points - centers[-1]) ** 2, axis=1), out=dist)
         scores = probs * dist
         if scores.sum() <= 0.0:
             centers.append(points[int(np.argmax(dist))])
@@ -851,11 +867,13 @@ def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) 
         if it > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(k):
-            mask = labels == j
-            mass = masses[mask].sum()
+        order = np.argsort(labels, kind="stable")
+        sorted_masses, sorted_points = masses[order], points[order]
+        ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+        for j, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            mass = sorted_masses[lo:hi].sum()
             if mass > 0.0:
-                centroids[j] = (masses[mask, None] * points[mask]).sum(0) / mass
+                centroids[j] = (sorted_masses[lo:hi, None] * sorted_points[lo:hi]).sum(0) / mass
             else:
                 # re-seed an empty cluster at the point farthest from its centroid
                 far = int(np.argmax(np.min(dists, axis=1)))

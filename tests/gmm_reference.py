@@ -1,4 +1,4 @@
-"""Test-side references: the gather-loop cluster moments and the exhaustive partition oracle.
+"""Test-side references: replaced forms of the moments, solve and k-means, and the partition oracle.
 
 The library's ``_cluster_moments`` reads each chunk's weights
 component-major, every cluster's as a block of rows, forms each cluster's
@@ -9,6 +9,14 @@ then per cluster fancy gathers of the sample-major arrays and the optimized
 einsum on them, with each chunk's weights taken from the public
 ``expansion.gating.weights``, not from the fitting set.  It is kept as the
 bit-identity reference the tests compare against.
+
+``solve_normal`` solves the normal equations through SciPy's checked
+``cho_factor``/``cho_solve`` wrappers, and ``weighted_kmeans`` is the
+k-means that recomputed the distances to every chosen center while seeding
+and gathered each cluster with a boolean mask.  The library's
+``_solve_normal`` and ``_weighted_kmeans`` call the LAPACK routines directly
+and read sorted slices; these are the forms they replaced, kept as their
+bit-identity references.
 
 Every command partitions the expanded components with the library's
 greedy mass-weighted k-means (``choose_partition``).
@@ -22,7 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from merge_planner.gmm import _cluster_moments, _fitting_set, _rowsum, _solve_normal
+from merge_planner.gmm import (
+    _KMEANS_ITERS,
+    _RIDGE,
+    _cluster_moments,
+    _fitting_set,
+    _rowsum,
+    _solve_normal,
+)
 
 # the exhaustive search's tie tolerance, as a fraction of the zero student's
 # bound; rounding moved bounds by about 1e-16 of it
@@ -59,6 +74,58 @@ def cluster_moments(fitting, groups: Sequence[np.ndarray]):
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
     return H, R, qfull, cquad
+
+
+def solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(M, ridged)`` as ``gmm._solve_normal`` defines them, through the checked wrappers."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    try:
+        factor = cho_factor(H)
+        ridged = False
+    except np.linalg.LinAlgError:
+        factor = cho_factor(H + _RIDGE * np.eye(H.shape[0]))
+        ridged = True
+    return cho_solve(factor, R.T).T, ridged
+
+
+def weighted_kmeans(
+    points: np.ndarray, masses: np.ndarray, k: int, seed: int, reseeded: list | None = None
+) -> np.ndarray:
+    """The labels of ``gmm._weighted_kmeans``; each re-seeded cluster is appended to ``reseeded``."""
+    rng = np.random.default_rng(seed)
+    n = points.shape[0]
+    probs = masses + 1e-15
+    centers = [points[rng.choice(n, p=probs / probs.sum())]]
+    for _ in range(1, k):
+        dist = np.min(
+            np.stack([np.sum((points - c) ** 2, axis=1) for c in centers]), axis=0
+        )
+        scores = probs * dist
+        if scores.sum() <= 0.0:
+            centers.append(points[int(np.argmax(dist))])
+            continue
+        centers.append(points[rng.choice(n, p=scores / scores.sum())])
+    centroids = np.stack(centers)
+    labels = np.zeros(n, dtype=np.intp)
+    for it in range(_KMEANS_ITERS):
+        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            mask = labels == j
+            mass = masses[mask].sum()
+            if mass > 0.0:
+                centroids[j] = (masses[mask, None] * points[mask]).sum(0) / mass
+            else:
+                # re-seed an empty cluster at the point farthest from its centroid
+                far = int(np.argmax(np.min(dists, axis=1)))
+                centroids[j] = points[far]
+                if reseeded is not None:
+                    reseeded.append(j)
+    return labels
 
 
 def exhaustive_partition(expansion, samples, n_clusters: int) -> list[list[int]]:

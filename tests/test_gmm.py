@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gmm_reference
-from gmm_reference import cluster_moments, exhaustive_partition
+from gmm_reference import cluster_moments, exhaustive_partition, solve_normal, weighted_kmeans
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
@@ -387,6 +387,9 @@ class TestFitClusterStudent:
             fit_cluster_student(
                 expansion, [list(range(64)), [0]], samples
             )
+        # a repeated index would count its component twice in the moments
+        with pytest.raises(ValueError, match=r"group 0 repeats index \[0\]"):
+            fit_cluster_student(expansion, [[0, 0, *range(1, 64)]], samples)
 
     def test_bias_variance_identity_pointwise(self, sched32):
         gmm = _two_mode()
@@ -1274,6 +1277,86 @@ class TestClusterMoments:
         _assert_same_moments(
             gmm_module._cluster_moments(fitting, groups), cluster_moments(fitting, groups)
         )
+
+
+class TestSolveNormal:
+    """The direct LAPACK calls have the bits, ridge flag and errors of the checked wrappers."""
+
+    @staticmethod
+    def _system(d, seed):
+        rng = np.random.default_rng(seed)
+        u = np.column_stack([rng.normal(size=(50, d)), np.ones(50)])
+        H = (u.T * rng.random(50)) @ u
+        return H, rng.normal(size=(d, d + 1)), u
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_matches_cho_solve_bit_for_bit(self, d, rank_deficient):
+        for seed in range(5):
+            H, R, u = self._system(d, seed)
+            if rank_deficient:
+                # a coordinate that is 0 on every sample zeroes its row and column of H
+                u[:, seed % d] = 0.0
+                H = (u.T * np.linspace(0.5, 1.5, len(u))) @ u
+            M, ridged = gmm_module._solve_normal(H, R)
+            M_ref, ridged_ref = solve_normal(H, R)
+            assert ridged is ridged_ref is rank_deficient
+            assert M.tobytes() == M_ref.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_errors_match_cho_solve(self, d):
+        H, R, _ = self._system(d, d)
+        # the ridged factor fails too
+        for solve in (gmm_module._solve_normal, solve_normal):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(-H, R)
+        # a non-finite entry anywhere, even in the triangle the factor never reads
+        for bad in (np.nan, np.inf):
+            R_bad = R.copy()
+            R_bad[-1, -1] = bad
+            cases = [(H, R_bad)]
+            for where in ((0, 0), (d, 0)):
+                H_bad = H.copy()
+                H_bad[where] = bad
+                cases.append((H_bad, R))
+            for solve in (gmm_module._solve_normal, solve_normal):
+                for H_case, R_case in cases:
+                    with pytest.raises(ValueError, match="infs or NaNs"):
+                        solve(H_case, R_case)
+
+
+def _kmeans_input(C, seed, zero_masses):
+    # clustered points with exact copies; with ``zero_masses`` about half the
+    # points weigh nothing, so some clusters hold no mass and are re-seeded
+    rng = np.random.default_rng(seed)
+    points = 3.0 * rng.normal(size=(4, 6))[rng.integers(0, 4, C)] + rng.normal(size=(C, 6))
+    points[rng.random(C) < 0.2] = points[0]
+    masses = rng.random(C)
+    if zero_masses:
+        masses[1:][rng.random(C - 1) < 0.5] = 0.0
+    return points, masses / masses.sum()
+
+
+class TestWeightedKmeans:
+    """Seeding by running minimum and sorted-slice updates keep the mask loop's labels."""
+
+    @pytest.mark.parametrize("C", [4, 27, 64, 512])
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_matches_mask_loop_reference(self, C, k):
+        for seed in range(5):
+            for zero_masses in (False, True):
+                points, masses = _kmeans_input(C, seed, zero_masses)
+                labels = gmm_module._weighted_kmeans(points, masses, k, seed)
+                assert labels.tolist() == weighted_kmeans(points, masses, k, seed).tolist()
+
+    @pytest.mark.parametrize("C, k", [(4, 2), (4, 8), (27, 8)])
+    def test_reseeded_clusters_match_reference(self, C, k):
+        reseeded = []
+        for seed in range(5):
+            points, masses = _kmeans_input(C, seed, zero_masses=True)
+            labels = gmm_module._weighted_kmeans(points, masses, k, seed)
+            assert labels.tolist() == weighted_kmeans(points, masses, k, seed, reseeded).tolist()
+        assert reseeded
 
 
 class TestExpertOutputBlocks:

@@ -200,6 +200,30 @@ class TestInsertAndPrune:
                     assert not _dominates(b, c, rho)
 
 
+# (seed, n, grid step) of the skylines checked against the sort-filter reference
+_SORT_FILTER_CASES = [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
+
+
+def _assert_matches_sort_filter(monkeypatch, leaf, seed, n, step, d):
+    """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
+
+    Rows near the hyperplane where the coordinates sum to 0 give large
+    skylines; rounding them to a grid gives ties, and some rows are exact
+    copies or carry -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    signed = rng.normal(size=(n, d))
+    signed = np.round((signed - signed.mean(axis=1, keepdims=True)) / step) * step
+    copies = rng.random(n) < 0.1
+    signed[copies] = signed[rng.integers(0, n, np.count_nonzero(copies))]
+    signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
+    expected = _sort_filter_skyline(signed).tolist()
+    if leaf is not None:
+        monkeypatch.setattr(dp_module, "_LEAF_ROWS", leaf)
+    assert n // dp_module._LEAF_ROWS >= 2  # the recursion splits
+    assert _skyline(signed).tolist() == expected
+
+
 class TestSkyline:
     """The pruning primitive behind every DP cell, on rows already signed by ``rho``."""
 
@@ -272,32 +296,23 @@ class TestSkyline:
 
     @pytest.mark.parametrize("leaf", [None, 3])
     @pytest.mark.parametrize(
+        "seed, n, step",
+        [pytest.param(*case, id="-".join(map(str, case))) for case in _SORT_FILTER_CASES],
+    )
+    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step):
+        _assert_matches_sort_filter(monkeypatch, leaf, seed, n, step, 3)
+
+    @pytest.mark.parametrize("leaf", [None, 3])
+    @pytest.mark.parametrize(
         "seed, n, step, d",
-        # only d > 3 adds a suffix to the id, so the d = 3 ids stay stable
         [
-            pytest.param(*case, d, id="-".join(map(str, case)) + ("" if d == 3 else f"-d{d}"))
-            for d in (3, 4, 5)
-            for case in [(0, 5000, 1 / 8), (1, 4000, 1 / 256), (2, 1500, 1 / 4)]
+            pytest.param(*case, d, id="-".join(map(str, case)) + f"-d{d}")
+            for d in (4, 5)
+            for case in _SORT_FILTER_CASES
         ],
     )
-    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
-        """The skyline against the sort-filter reference, at sizes the O(n^2) oracle cannot reach.
-
-        Rows near the hyperplane where the coordinates sum to 0 give large
-        skylines; rounding them to a grid gives ties, and some rows are exact
-        copies or carry -0.0.
-        """
-        rng = np.random.default_rng(seed)
-        signed = rng.normal(size=(n, d))
-        signed = np.round((signed - signed.mean(axis=1, keepdims=True)) / step) * step
-        copies = rng.random(n) < 0.1
-        signed[copies] = signed[rng.integers(0, n, np.count_nonzero(copies))]
-        signed[(signed == 0.0) & (rng.random(signed.shape) < 0.5)] = -0.0
-        expected = _sort_filter_skyline(signed).tolist()
-        if leaf is not None:
-            monkeypatch.setattr(dp_module, "_LEAF_ROWS", leaf)
-        assert n // dp_module._LEAF_ROWS >= 2  # the recursion splits
-        assert _skyline(signed).tolist() == expected
+    def test_large_skyline_matches_sort_filter(self, monkeypatch, leaf, seed, n, step, d):
+        _assert_matches_sort_filter(monkeypatch, leaf, seed, n, step, d)
 
 
 class TestSquaredNorms:
