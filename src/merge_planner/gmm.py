@@ -808,8 +808,8 @@ def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
     A rank-deficient ``H`` is factored as ``H + 1e-10 I`` instead.  The
     LAPACK calls are those of ``scipy.linalg.cho_factor`` and ``cho_solve``
     (upper factor), so ``M`` has their bits, and non-finite input raises
-    ``ValueError`` as their ``check_finite`` does; the wrappers' other checks
-    cost about 13 times the two calls at d = 2.
+    ``ValueError`` as their ``check_finite`` does.  On these (d+1)-square
+    systems the wrappers' other checks cost several times the two calls.
     """
     # Imported here so that processes which never fit a mixture never load SciPy.
     from scipy.linalg.lapack import dpotrf, dpotrs

@@ -92,7 +92,7 @@ def solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
 def weighted_kmeans(
     points: np.ndarray, masses: np.ndarray, k: int, seed: int, reseeded: list | None = None
 ) -> np.ndarray:
-    """The labels of ``gmm._weighted_kmeans``; each re-seeded cluster is appended to ``reseeded``."""
+    """The labels of ``gmm._weighted_kmeans``; appends each re-seeded cluster to ``reseeded``."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     probs = masses + 1e-15

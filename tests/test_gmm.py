@@ -1283,21 +1283,19 @@ class TestSolveNormal:
     """The direct LAPACK calls have the bits, ridge flag and errors of the checked wrappers."""
 
     @staticmethod
-    def _system(d, seed):
+    def _system(d, seed, zero_column=None):
         rng = np.random.default_rng(seed)
         u = np.column_stack([rng.normal(size=(50, d)), np.ones(50)])
-        H = (u.T * rng.random(50)) @ u
-        return H, rng.normal(size=(d, d + 1)), u
+        if zero_column is not None:
+            # a coordinate that is 0 on every sample zeroes its row and column of H
+            u[:, zero_column] = 0.0
+        return (u.T * rng.random(50)) @ u, rng.normal(size=(d, d + 1))
 
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_matches_cho_solve_bit_for_bit(self, d, rank_deficient):
         for seed in range(5):
-            H, R, u = self._system(d, seed)
-            if rank_deficient:
-                # a coordinate that is 0 on every sample zeroes its row and column of H
-                u[:, seed % d] = 0.0
-                H = (u.T * np.linspace(0.5, 1.5, len(u))) @ u
+            H, R = self._system(d, seed, seed % d if rank_deficient else None)
             M, ridged = gmm_module._solve_normal(H, R)
             M_ref, ridged_ref = solve_normal(H, R)
             assert ridged is ridged_ref is rank_deficient
@@ -1305,7 +1303,7 @@ class TestSolveNormal:
 
     @pytest.mark.parametrize("d", [1, 2, 8])
     def test_errors_match_cho_solve(self, d):
-        H, R, _ = self._system(d, d)
+        H, R = self._system(d, d)
         # the ridged factor fails too
         for solve in (gmm_module._solve_normal, solve_normal):
             with pytest.raises(np.linalg.LinAlgError):
