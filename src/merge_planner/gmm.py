@@ -21,6 +21,7 @@ student with its cluster ``membership``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -64,6 +65,8 @@ _LIPSCHITZ_SCALE = 1e-3
 # OpenBLAS's small-matrix bound: it sends a GEMM with M N K <= 100^3 to a
 # small-matrix kernel that rounds differently (0.3.31, DGEMM)
 _SMALL_GEMM = 100**3
+# entries per block of component rows that ``_component_masses`` sums at once
+_MASS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,8 +580,8 @@ class NoisySampler:
         vals, vecs = gm._eig_vals, gm._eig_vecs
         sqrt_cov = np.einsum("kij,kj,klj->kil", vecs, np.sqrt(vals), vecs)
         comp = rng.choice(gm.K, size=n, p=gm.pi)
-        x0 = gm.mu[comp] + np.einsum(
-            "nij,nj->ni", sqrt_cov[comp], rng.standard_normal((n, gm.d))
+        x0 = np.take(gm.mu, comp, axis=0) + np.einsum(
+            "nij,nj->ni", np.take(sqrt_cov, comp, axis=0), rng.standard_normal((n, gm.d))
         )
         a, s = self.sched.alpha[self.t], self.sched.sigma[self.t]
         return a * x0 + s * rng.standard_normal((n, gm.d))
@@ -596,13 +599,17 @@ def _chunk_size(n_components: int) -> int:
 
 
 class _FittingSet:
-    """Fitting samples of one expansion, with its stage weights evaluated once.
+    """Fitting samples of one expansion, with its gating evaluated once.
 
     The gating runs on the first pass, chunk by chunk at the ``_chunk_size``
-    boundaries, and keeps only the per-stage weights: n x sum(K_j) doubles,
-    not the n x prod(K_j) expansion weights.  Every pass forms the product
-    again per chunk, component-major, except that a set of one chunk keeps
-    its product for the next pass.
+    boundaries.  Each chunk keeps two component-major factors of its
+    ``(C, m)`` expansion weights, never the weights themselves: ``head``,
+    the product of every stage's weights but the last (``C / K_last`` rows),
+    and ``last``, the last stage's (``K_last`` rows).  Component ``c`` is
+    row ``c // K_last`` of the one times row ``c % K_last`` of the other.
+    With one stage ``head`` is a row of ones; with a ``membership`` the
+    cluster sums are ``head``, formed sample-major by ``PathGating.combine``,
+    and ``last`` is a row of ones.
     """
 
     def __init__(self, expansion: MoeOperator, samples) -> None:
@@ -611,40 +618,41 @@ class _FittingSet:
             raise ValueError("samples must be an (n, d) array")
         self.expansion = expansion
         self.samples = samples
-        self._chunks: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
-        self._kept: np.ndarray | None = None
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def weights(self):
-        """Yield ``(z, wT)`` per chunk: the ``(m, d)`` samples and their ``(C, m)`` weights.
+        """Yield ``(z, rows)`` per chunk: the ``(m, d)`` samples and their weights by component.
 
-        ``wT`` is C-contiguous, has the bits of
-        ``expansion.gating.weights(z).T`` and is read only.  Each product of
-        stage weights is one IEEE multiply, as in ``PathGating.combine``,
-        broadcast along contiguous sample rows; with a ``membership`` the sum
-        by cluster runs sample-major, as there.
+        ``rows(idx)`` forms the weights of the components ``idx`` as a new
+        C-contiguous ``(len(idx), m)`` array, with the bits of
+        ``expansion.gating.weights(z).T[idx]``: each entry is the one IEEE
+        multiply of ``PathGating.combine``'s last outer product.
         """
-        gating = self.expansion.gating
         if self._chunks is None:
+            gating = self.expansion.gating
             chunk = _chunk_size(self.expansion.n_experts)
             self._chunks = []
             for lo in range(0, self.samples.shape[0], chunk):
                 z = self.samples[lo : lo + chunk]
-                self._chunks.append((z, gating.stage_weights(z)))
-        if self._kept is not None:
-            yield self._chunks[0][0], self._kept
-            return
-        for z, stages in self._chunks:
-            if gating.membership is not None:
-                wT = np.ascontiguousarray(gating.combine(stages).T)
-            else:
-                wT = np.ascontiguousarray(stages[0].T)
-                for stage_w in stages[1:]:
-                    stage_T = np.ascontiguousarray(stage_w.T)
-                    wT = (wT[:, None, :] * stage_T[None, :, :]).reshape(-1, z.shape[0])
-            wT.setflags(write=False)
-            if len(self._chunks) == 1:
-                self._kept = wT
-            yield z, wT
+                stages = gating.stage_weights(z)
+                ones = np.ones((1, z.shape[0]))
+                if gating.membership is not None:
+                    head, last = np.ascontiguousarray(gating.combine(stages).T), ones
+                else:
+                    *init, last = [np.ascontiguousarray(w.T) for w in stages]
+                    head = init[0] if init else ones
+                    for stage_T in init[1:]:
+                        head = (head[:, None, :] * stage_T[None, :, :]).reshape(-1, z.shape[0])
+                self._chunks.append((z, head, last))
+        for z, head, last in self._chunks:
+            yield z, partial(_weight_rows, head, last)
+
+
+def _weight_rows(head: np.ndarray, last: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    hi, lo = np.divmod(idx, last.shape[0])
+    out = np.take(head, hi, axis=0)
+    out *= np.take(last, lo, axis=0)
+    return out
 
 
 def _fitting_set(expansion: MoeOperator, samples) -> _FittingSet:
@@ -657,7 +665,13 @@ def _fitting_set(expansion: MoeOperator, samples) -> _FittingSet:
 
 
 def _validate_partition(partition: Sequence[Sequence[int]], n_components: int) -> list[np.ndarray]:
-    groups = [np.sort(np.asarray(group, dtype=np.intp)) for group in partition]
+    groups = []
+    for k, group in enumerate(partition):
+        idx = np.asarray(group)
+        # an empty group reads as float64
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"partition group {k} has non-integer indices {idx.tolist()}")
+        groups.append(np.sort(idx.astype(np.intp)))
     flat = np.concatenate(groups) if groups else np.zeros(0, dtype=np.intp)
     if np.any((flat < 0) | (flat >= n_components)):
         raise ValueError("partition indices out of range")
@@ -755,11 +769,10 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     ``qfull`` sums ``sum_{c in S} w_c |g_c|^2`` and ``cquad`` sums
     ``|S|^2 / W``.  An empty group keeps zero moments.
 
-    Reads each chunk's ``(C, m)`` weights as the fitting set yields them,
-    with no copy, and forms a cluster's ``(m, n_k, d)`` expert outputs
-    inside the cluster loop, so no expert-output array spans more than one
-    cluster.  The bits are those of the per-cluster gathers of sample-major
-    arrays.
+    Forms each cluster's ``(n_k, m)`` weights and ``(m, n_k, d)`` expert
+    outputs inside the cluster loop and frees them before the next
+    cluster's, so no array spans more than one cluster.  The bits are those
+    of the per-cluster gathers of sample-major arrays.
     """
     d = fitting.samples.shape[1]
     expansion = fitting.expansion
@@ -770,29 +783,33 @@ def _cluster_moments(fitting: _FittingSet, groups: Sequence[np.ndarray]):
     cquad = np.zeros(K)
     At = expansion.A.transpose(2, 0, 1)  # (d, C, d): a column block per expert
 
-    for z, wT in fitting.weights():
+    for z, rows in fitting.weights():
         m = z.shape[0]
         u = np.concatenate([z, np.ones((m, 1))], axis=1)
         for k, idx in enumerate(groups):
             if idx.size == 0:
                 continue
+            wk = rows(idx).T  # (m, n_k)
             # the contractions are the matmuls ``np.einsum(..., optimize=True)``
             # runs for ``cij,mj->mci`` (g), ``mc,mci->mi`` (Sk) and ``m,mi,mj->ij``
             # (H); with an inner dimension of d, each element of a column block
             # of ``z @ At`` has the bits of the one-call product
             g = (z @ At[:, idx, :].reshape(d, idx.size * d)).reshape(m, idx.size, d)
             g += expansion.b[idx]
-            wk = wT[idx].T  # (m, n_k)
             Wk = np.sum(wk, axis=1)  # (m,)
             Sk = (g.transpose(0, 2, 1) @ wk.reshape(m, idx.size, 1)).reshape(m, d)
             H[k] += (u.T * Wk.reshape(1, m)) @ u
             R[k] += Sk.T @ u
             g *= g  # squared in place, once ``Sk`` has read it
+            gsq = _rowsum(g)  # (m, n_k)
+            del g  # each MiB-sized temporary is freed before the next is formed
             # ``wk`` and ``gsq`` have the column-major strides of the fancy
             # gathers ``w[:, idx]`` and ``gsq[:, idx]``, so the flat ``qfull``
             # sum adds in the gathers' order; a C-order operand changes its bits
-            gsq = np.asfortranarray(_rowsum(g))  # (m, n_k)
-            qfull[k] += float(np.sum(wk * gsq))
+            gsq = np.asfortranarray(gsq)
+            gsq *= wk
+            qfull[k] += float(np.sum(gsq))
+            del wk, gsq
             # over the samples with W > 0; ``_rowsum(S * S)`` has the bits of
             # ``np.sum(S ** 2, axis=1)``
             pos = Wk > 0.0
@@ -829,12 +846,16 @@ def _solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _component_masses(fitting: _FittingSet) -> np.ndarray:
-    total = np.zeros(fitting.expansion.n_experts)
-    for _, wT in fitting.weights():
-        # in the order of ``np.sum(w, axis=0)``: sample by sample, where a row
-        # sum of ``wT`` would add pairwise and change bits, except that NumPy
-        # sums a lone column pairwise too
-        total += np.sum(wT, axis=1) if len(wT) == 1 else np.cumsum(wT, axis=1)[:, -1]
+    C = fitting.expansion.n_experts
+    total = np.zeros(C)
+    for z, rows in fitting.weights():
+        step = max(_MASS_BLOCK // z.shape[0], 1)
+        for lo in range(0, C, step):
+            w = rows(np.arange(lo, min(lo + step, C)))
+            # in the order of ``np.sum(w, axis=0)``: sample by sample, where a
+            # row sum would add pairwise and change bits, except that NumPy
+            # sums a lone column pairwise too
+            total[lo : lo + step] += np.sum(w, axis=1) if C == 1 else np.cumsum(w, axis=1)[:, -1]
     return total / fitting.samples.shape[0]
 
 

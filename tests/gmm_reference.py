@@ -1,4 +1,4 @@
-"""Test-side references: replaced forms of the moments, solve and k-means, and the partition oracle.
+"""Test-side references: replaced forms of the moments, sampler, solve and k-means, and the partition oracle.
 
 The library's ``_cluster_moments`` reads each chunk's weights
 component-major, every cluster's as a block of rows, forms each cluster's
@@ -9,6 +9,10 @@ then per cluster fancy gathers of the sample-major arrays and the optimized
 einsum on them, with each chunk's weights taken from the public
 ``expansion.gating.weights``, not from the fitting set.  It is kept as the
 bit-identity reference the tests compare against.
+
+``noisy_sample`` is ``NoisySampler.sample`` as it gathered each draw's
+mean and covariance root by fancy indexing, before ``np.take``; it is the
+sampler's bit-identity reference.
 
 ``solve_normal`` solves the normal equations through SciPy's checked
 ``cho_factor``/``cho_solve`` wrappers, and ``weighted_kmeans`` is the
@@ -74,6 +78,17 @@ def cluster_moments(fitting, groups: Sequence[np.ndarray]):
             pos = Wk > 0.0
             cquad[k] += float(np.sum(np.sum(Sk[pos] ** 2, axis=1) / Wk[pos]))
     return H, R, qfull, cquad
+
+
+def noisy_sample(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``sampler.sample(n, rng)`` with the per-draw gathers as fancy indexing."""
+    gm = sampler.gmm
+    vals, vecs = gm._eig_vals, gm._eig_vecs
+    sqrt_cov = np.einsum("kij,kj,klj->kil", vecs, np.sqrt(vals), vecs)
+    comp = rng.choice(gm.K, size=n, p=gm.pi)
+    x0 = gm.mu[comp] + np.einsum("nij,nj->ni", sqrt_cov[comp], rng.standard_normal((n, gm.d)))
+    a, s = sampler.sched.alpha[sampler.t], sampler.sched.sigma[sampler.t]
+    return a * x0 + s * rng.standard_normal((n, gm.d))
 
 
 def solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gmm_reference
-from gmm_reference import cluster_moments, exhaustive_partition, solve_normal, weighted_kmeans
+from gmm_reference import (
+    cluster_moments,
+    exhaustive_partition,
+    noisy_sample,
+    solve_normal,
+    weighted_kmeans,
+)
 from merge_planner import gmm as gmm_module
 from merge_planner import report as report_module
 from merge_planner.gmm import (
@@ -390,6 +396,17 @@ class TestFitClusterStudent:
         # a repeated index would count its component twice in the moments
         with pytest.raises(ValueError, match=r"group 0 repeats index \[0\]"):
             fit_cluster_student(expansion, [[0, 0, *range(1, 64)]], samples)
+        # fractional and boolean indices were truncated to 0 and 1
+        rest = [list(range(2, 64))]
+        with pytest.raises(ValueError, match=r"group 0 has non-integer indices \[0\.5, 1\.9\]"):
+            fit_cluster_student(expansion, [[0.5, 1.9], *rest], samples)
+        with pytest.raises(ValueError, match=r"group 1 has non-integer indices \[True, False\]"):
+            fit_cluster_student(expansion, [*rest, [True, False]], samples)
+        with pytest.raises(ValueError, match=r"group 0 has non-integer indices \[0\.0, 1\.0\]"):
+            fit_cluster_student(expansion, [np.array([0.0, 1.0]), *rest], samples)
+        # an empty group reads as float64 and still passes
+        fit = fit_cluster_student(expansion, [[], [0, 1], *rest], samples)
+        assert fit.student.n_experts == 3
 
     def test_bias_variance_identity_pointwise(self, sched32):
         gmm = _two_mode()
@@ -754,6 +771,22 @@ class TestErrorPropagation:
                 error_propagation_audit(op2, op1, merged, [op2, op1], sampler, n=100, seed=0)
 
 
+class TestCompressMemory:
+    def test_k3_traced_peak(self, fitting_k3):
+        # the chunk's whole (512, 1024) weights and their (512, 1024) cumsum once
+        # lived together: a traced peak of 9.8 MiB at 7070664, against about
+        # 5.8 MiB with each cluster's weights formed when it is fitted
+        fitting, _, _ = fitting_k3
+        gmm_module._compress(fitting.expansion, fitting.samples, n_clusters=8)  # fills the caches
+        tracemalloc.start()
+        try:
+            gmm_module._compress(fitting.expansion, fitting.samples, n_clusters=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+
+
 class TestSampler:
     def test_deterministic_given_seed(self, sched32, circle8):
         sampler = NoisySampler(gmm=circle8, sched=sched32, t=16)
@@ -779,6 +812,17 @@ class TestSampler:
     def test_both_ends_of_schedule_accepted(self, sched32, circle8, t):
         z = NoisySampler(gmm=circle8, sched=sched32, t=t).sample(4, np.random.default_rng(44))
         assert z.shape == (4, 2)
+
+    @pytest.mark.parametrize("n", [1, 7, 8192])
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_fancy_index_reference(self, sched32, d, K, n):
+        gmm = _random_mixture(np.random.default_rng(100 * d + K), K, d)
+        sampler = NoisySampler(gmm=gmm, sched=sched32, t=9)
+        got = sampler.sample(n, np.random.default_rng(n))
+        want = noisy_sample(sampler, n, np.random.default_rng(n))
+        assert got.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGatingOnce:
@@ -831,8 +875,9 @@ class TestGatingOnce:
         # chunk directly, transposed
         chunks = list(gmm_module._FittingSet(expansion, samples).weights())
         assert [z.shape[0] for z, _ in chunks] == [100, 100, 100, 50]
-        for z, wT in chunks:
-            assert wT.tobytes() == expansion.gating.weights(z).T.tobytes()
+        for z, rows in chunks:
+            got = rows(np.arange(K**steps))
+            assert got.tobytes() == expansion.gating.weights(z).T.tobytes()
 
     def test_propagate_item_gates_audit_stages_once(self, monkeypatch, tmp_path):
         calls = []
@@ -1411,7 +1456,7 @@ def _table_fitting_set(stages, membership=None):
 
 
 class TestFittingSetLayout:
-    """The fitting set is component-major and keeps the bits of the sample-major gating."""
+    """The fitting set forms component-major weights with the bits of the sample-major gating."""
 
     @settings(PROPERTY_SETTINGS, max_examples=150)
     @given(data=st.data())
@@ -1424,21 +1469,27 @@ class TestFittingSetLayout:
         if data.draw(st.booleans()):
             labels = np.random.default_rng(C).integers(0, 3, size=C)
             membership = (labels[:, None] == np.arange(3)).astype(np.float64)
+        width = C if membership is None else 3
+        # a cluster's components: sorted, as the partition gives them, or any subset
+        idx = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width)))
+        if data.draw(st.booleans()):
+            idx = np.unique(idx)
         chunk = data.draw(st.integers(1, n + 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gmm_module, "_chunk_size", lambda n_components: chunk)
             fitting = _table_fitting_set(stages, membership)
             gating = fitting.expansion.gating
-            lows = list(range(0, n, chunk))
-            for _ in range(2):  # the second pass reads what the first kept
-                chunks = list(fitting.weights())
-                assert [z.shape[0] for z, _ in chunks] == [min(chunk, n - lo) for lo in lows]
-                for z, wT in chunks:
-                    assert wT.flags["C_CONTIGUOUS"] and not wT.flags["WRITEABLE"]
-                    want = gating.weights(z).T
-                    width = C if membership is None else 3
-                    assert wT.shape == want.shape == (width, z.shape[0])
-                    assert wT.tobytes() == want.tobytes()
+            chunks = list(fitting.weights())
+            assert [z.shape[0] for z, _ in chunks] == [min(chunk, n - lo) for lo in range(0, n, chunk)]
+            for z, rows in chunks:
+                want = gating.weights(z).T
+                assert want.shape == (width, z.shape[0])
+                for sel in (idx, np.arange(width)):
+                    got = rows(sel)
+                    assert got.flags["C_CONTIGUOUS"]
+                    # ``.T`` has the strides of the fancy gather ``want[sel].T``
+                    assert got.T.strides == want[sel].T.strides
+                    assert got.tobytes() == want[sel].tobytes()
 
     @pytest.mark.parametrize("chunk", [37, 1024])
     @pytest.mark.parametrize("C", [1, 8, 64, 512])

@@ -299,7 +299,7 @@ class TestSkyline:
         "seed, n, step",
         [pytest.param(*case, id="-".join(map(str, case))) for case in _SORT_FILTER_CASES],
     )
-    def test_three_dim_staircase_matches_sort_filter(self, monkeypatch, leaf, seed, n, step):
+    def test_three_dim_skyline_matches_sort_filter(self, monkeypatch, leaf, seed, n, step):
         _assert_matches_sort_filter(monkeypatch, leaf, seed, n, step, 3)
 
     @pytest.mark.parametrize("leaf", [None, 3])
