@@ -625,8 +625,9 @@ class _FittingSet:
 
         ``rows(idx)`` forms the weights of the components ``idx`` as a new
         C-contiguous ``(len(idx), m)`` array, with the bits of
-        ``expansion.gating.weights(z).T[idx]``: each entry is the one IEEE
-        multiply of ``PathGating.combine``'s last outer product.
+        ``expansion.gating.weights(z).T[idx]``: each entry is one IEEE
+        multiply, that of ``PathGating.combine``'s last outer product (by
+        1.0 for one stage or a ``membership``).
         """
         if self._chunks is None:
             gating = self.expansion.gating

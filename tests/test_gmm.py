@@ -775,7 +775,7 @@ class TestCompressMemory:
     def test_k3_traced_peak(self, fitting_k3):
         # the chunk's whole (512, 1024) weights and their (512, 1024) cumsum once
         # lived together: a traced peak of 9.8 MiB at 7070664, against about
-        # 5.8 MiB with each cluster's weights formed when it is fitted
+        # 4.8 MiB with each cluster's weights formed when it is fitted
         fitting, _, _ = fitting_k3
         gmm_module._compress(fitting.expansion, fitting.samples, n_clusters=8)  # fills the caches
         tracemalloc.start()
