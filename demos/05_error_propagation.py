@@ -23,7 +23,6 @@ from merge_planner import (
     fit_cluster_student,
     make_circle_mixture,
     make_cosine_schedule,
-    single_step_moe,
 )
 
 T, K1 = 32, 16
@@ -42,10 +41,7 @@ partition = choose_partition(expansion, samples, n_clusters=8, seed=14)
 merged = fit_cluster_student(expansion, partition, samples).student
 print(f"  merged student covers {merged.interval}")
 
-teacher_ops = [single_step_moe(gmm, sched, t) for t in range(T, 0, -1)]
-audit = error_propagation_audit(
-    stage1, stage2, merged, teacher_ops, sampler, n=50_000, seed=15
-)
+audit = error_propagation_audit(merged, sampler, n=50_000, seed=15)
 
 print("\nmeasured terms (mean squared deviations over shared samples):")
 print(f"  final  = {audit.final.mean:.4f} ± {audit.final.stderr:.4f}   (merged vs full teacher)")

@@ -91,8 +91,6 @@ def _overrides(args: argparse.Namespace, kind: str) -> dict:
     for key in ("T", "s_train", "seed", "out_dir", "schedule_file", "mixture_file", "split"):
         if getattr(args, key, None) is not None:
             over[key] = getattr(args, key)
-    if getattr(args, "schedule_file", None) is not None:
-        over["schedule"] = "file"
     if getattr(args, "lam", None) is not None:
         over["lam_values"] = _parse_lambda(args.lam)
     if getattr(args, "k_grid", None) is not None:

@@ -860,8 +860,10 @@ def _component_masses(fitting: _FittingSet) -> np.ndarray:
     return total / fitting.samples.shape[0]
 
 
-def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Mass-weighted Lloyd iteration with seeded kmeans++ initialization.
+def _weighted_kmeans(
+    points: np.ndarray, masses: np.ndarray, k: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-weighted Lloyd iteration with seeded kmeans++ initialization: labels, centroids.
 
     The seeding keeps each point's distance to its nearest center as a
     running minimum, updated with the newest center only.  Each iteration
@@ -900,7 +902,7 @@ def _weighted_kmeans(points: np.ndarray, masses: np.ndarray, k: int, seed: int) 
                 # re-seed an empty cluster at the point farthest from its centroid
                 far = int(np.argmax(np.min(dists, axis=1)))
                 centroids[j] = points[far]
-    return labels
+    return labels, centroids
 
 
 def choose_partition(
@@ -929,7 +931,7 @@ def choose_partition(
 
     feats = np.concatenate([expansion.A.reshape(C, -1), expansion.b.reshape(C, -1)], axis=1)
     masses = _component_masses(fitting)
-    labels = _weighted_kmeans(feats, masses, n_clusters, seed)
+    labels, _ = _weighted_kmeans(feats, masses, n_clusters, seed)
     groups = [np.nonzero(labels == j)[0].tolist() for j in range(n_clusters)]
     groups = [g for g in groups if g]
     groups.sort(key=lambda g: g[0])
@@ -1063,35 +1065,32 @@ class PropagationAudit:
 
 
 def error_propagation_audit(
-    stage1,
-    stage2,
-    merged,
-    teacher_ops: Sequence,
-    sampler: NoisySampler,
-    n: int,
-    seed: int = 0,
+    merged: MoeOperator, sampler: NoisySampler, n: int, seed: int = 0
 ) -> PropagationAudit:
     """Estimate every term of the two-stage propagation bound on shared samples.
 
-    ``teacher_ops`` is the full single-step chain in application order;
-    it is split at ``stage1.interval`` into the two stagewise teachers.
-    ``merged``'s gating must run exactly ``(stage1, stage2)``: the stage
-    outputs are read off its trajectory.
+    The stage students are the two operators ``merged``'s gating runs; the
+    stage outputs are read off its trajectory.  The teachers are the single
+    steps of ``sampler``'s mixture and schedule over ``merged.interval``,
+    split where the first stage ends.  ``sampler`` must draw at the level
+    ``merged`` starts from.
     """
-    ops1 = [op for op in teacher_ops if op.interval[0] >= stage1.interval[0]]
-    ops2 = [op for op in teacher_ops if op.interval[0] < stage1.interval[0]]
-    if not ops1 or not ops2:
-        raise ValueError("teacher_ops must cover both stages")
-    if (ops1[-1].interval[0], ops1[0].interval[1]) != stage1.interval:
-        raise ValueError("stage1 interval does not match the teacher chain split")
-    if (ops2[-1].interval[0], ops2[0].interval[1]) != stage2.interval:
-        raise ValueError("stage2 interval does not match the teacher chain split")
-    if merged.interval != (stage2.interval[0], stage1.interval[1]):
-        raise ValueError("merged operator must cover both stages")
-    gating = getattr(merged, "gating", None)
-    chain = gating.ops if isinstance(gating, PathGating) else ()
-    if len(chain) != 2 or chain[0] is not stage1 or chain[1] is not stage2:
-        raise ValueError("merged operator's gating must run exactly (stage1, stage2)")
+    t_lo, t_hi = merged.interval
+    chain = merged.gating.ops if isinstance(merged.gating, PathGating) else ()
+    if len(chain) != 2:
+        raise ValueError("merged operator's gating must run exactly two stages")
+    stage1, stage2 = chain
+    split = stage1.interval[0]
+    if (stage1.interval[1], stage2.interval) != (t_hi, (t_lo, split - 1)):
+        raise ValueError(
+            f"stages {stage1.interval} then {stage2.interval} do not cover "
+            f"{merged.interval} contiguously"
+        )
+    if sampler.t != t_hi:
+        raise ValueError(f"sampler draws at level {sampler.t}, but merged starts at level {t_hi}")
+    gmm, sched = sampler.gmm, sampler.sched
+    ops1 = [single_step_moe(gmm, sched, t) for t in range(t_hi, split - 1, -1)]
+    ops2 = [single_step_moe(gmm, sched, t) for t in range(split - 1, t_lo - 1, -1)]
 
     def terms(z: np.ndarray) -> tuple[np.ndarray, ...]:
         merged_out, (y_student, composed) = merged.apply_along_chain(z)
@@ -1107,7 +1106,7 @@ def error_propagation_audit(
         return tuple(np.sum(diff * diff, axis=1) for diff in diffs)
 
     rng = np.random.default_rng(seed)
-    chunk = _chunk_size(max(getattr(merged, "n_experts", 1), 64))
+    chunk = _chunk_size(merged.n_experts)
     final, merge_err, shift, stage1_err = _mc_mean(terms, sampler, n, rng, chunk)
 
     lip = _lipschitz_at(

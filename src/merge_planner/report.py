@@ -104,7 +104,6 @@ class ExperimentConfig:
     s_train: float = 6.4
     seed: int = 0
     out_dir: Path = Path("results")
-    schedule: str = "cosine"
     schedule_file: Path | None = None
     lam_values: tuple[float, ...] | None = None
     lambda_grid: str = "log"
@@ -177,7 +176,6 @@ _FILE_KEYS = {
         "s": ("s_train", float),
         "seed": ("seed", int),
         "out": ("out_dir", str),
-        "schedule": ("schedule", str),
         "schedule_file": ("schedule_file", str),
     },
     "lambda": {
@@ -232,22 +230,14 @@ def _apply_file(cfg: ExperimentConfig, path: Path) -> ExperimentConfig:
 
 
 def resolve_schedule(cfg: ExperimentConfig) -> NoiseSchedule:
-    """The configured schedule; a schedule file must pass :func:`validate_schedule`."""
-    if cfg.schedule_file is not None and cfg.schedule != "file":
-        raise ValueError(
-            f"schedule_file is set but schedule = {cfg.schedule}; set schedule = file to use it"
-        )
-    if cfg.schedule == "cosine":
+    """Cosine, or the ``schedule_file`` schedule, which must pass :func:`validate_schedule`."""
+    if cfg.schedule_file is None:
         return make_cosine_schedule(cfg.T)
-    if cfg.schedule == "file":
-        if cfg.schedule_file is None:
-            raise ValueError("schedule = file requires schedule_file")
-        sched = read_schedule_csv(cfg.schedule_file)
-        report = validate_schedule(sched)
-        if not report.ok:
-            raise ValueError(f"invalid schedule in {cfg.schedule_file}:\n{report}")
-        return sched
-    raise ValueError(f"unknown schedule kind {cfg.schedule!r}")
+    sched = read_schedule_csv(cfg.schedule_file)
+    report = validate_schedule(sched)
+    if not report.ok:
+        raise ValueError(f"invalid schedule in {cfg.schedule_file}:\n{report}")
+    return sched
 
 
 def resolve_mixture(cfg: ExperimentConfig) -> GaussianMixture:
@@ -409,8 +399,6 @@ def run_ablation(cfg: ExperimentConfig) -> AblationResult:
 
 
 def _require_cosine(cfg: ExperimentConfig) -> None:
-    if cfg.schedule != "cosine":
-        raise ValueError("sweeps are defined on the built-in cosine schedule")
     if cfg.schedule_file is not None:
         raise ValueError("schedule_file is set but sweeps use the built-in cosine schedule")
 
@@ -672,10 +660,8 @@ def run_gmm_propagate(cfg: ExperimentConfig) -> PropagateResult:
         expansion, samples, n_clusters=gmm.K, seed=_child_seed(cfg.seed, 14)
     ).student
 
-    teacher_ops = [single_step_moe(gmm, sched, t) for t in range(T, 0, -1)]
     audit = error_propagation_audit(
-        stage1, stage2, merged, teacher_ops, sampler,
-        n=cfg.n_mc, seed=_child_seed(cfg.seed, 15),
+        merged, sampler, n=cfg.n_mc, seed=_child_seed(cfg.seed, 15)
     )
 
     line = ",".join(

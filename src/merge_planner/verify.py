@@ -19,12 +19,11 @@ import numpy as np
 from .gmm import (
     GaussianMixture,
     NoisySampler,
+    _compress,
     apply_chain,
-    choose_partition,
     compose_expand,
     distill_chain,
     error_propagation_audit,
-    fit_cluster_student,
     make_circle_mixture,
     mc_distillation_loss,
     optimal_mixture_denoiser,
@@ -295,8 +294,7 @@ def criterion_approximation_bound() -> CriterionResult:
             ops = [single_step_moe(gmm, sched, t) for t in range(32, 32 - k, -1)]
             expansion = compose_expand(ops)
             samples = sampler.sample(8192, np.random.default_rng(1000 + k))
-            partition = choose_partition(expansion, samples, n_clusters=8, seed=k)
-            fit = fit_cluster_student(expansion, partition, samples)
+            fit = _compress(expansion, samples, n_clusters=8, seed=k)
             mc = mc_distillation_loss(fit.student, None, sampler, 100_000, seed=2000 + k)
             bounds.append(fit.bound)
             mc_ok = mc_ok and mc.mean <= fit.bound + 3.0 * mc.stderr
@@ -326,12 +324,8 @@ def criterion_error_propagation() -> CriterionResult:
         expansion = compose_expand([stage1, stage2])
         sampler = NoisySampler(gmm=gmm, sched=sched, t=32)
         samples = sampler.sample(4096, np.random.default_rng(13))
-        partition = choose_partition(expansion, samples, n_clusters=8, seed=14)
-        merged = fit_cluster_student(expansion, partition, samples).student
-        teacher_ops = [single_step_moe(gmm, sched, t) for t in range(32, 0, -1)]
-        audit = error_propagation_audit(
-            stage1, stage2, merged, teacher_ops, sampler, n=100_000, seed=15
-        )
+        merged = _compress(expansion, samples, n_clusters=8, seed=14).student
+        audit = error_propagation_audit(merged, sampler, n=100_000, seed=15)
         return audit.holds, (
             f"lhs = {audit.final.mean:.4f} <= rhs = {audit.rhs:.4f} "
             f"(+3se = {3 * audit.combined_stderr:.4f}); L^ = {audit.lipschitz:.2f}"

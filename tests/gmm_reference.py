@@ -106,8 +106,11 @@ def solve_normal(H: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def weighted_kmeans(
     points: np.ndarray, masses: np.ndarray, k: int, seed: int, reseeded: list | None = None
-) -> np.ndarray:
-    """The labels of ``gmm._weighted_kmeans``; appends each re-seeded cluster to ``reseeded``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and centroids of ``gmm._weighted_kmeans``.
+
+    Appends each re-seeded cluster to ``reseeded``.
+    """
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     probs = masses + 1e-15
@@ -140,7 +143,7 @@ def weighted_kmeans(
                 centroids[j] = points[far]
                 if reseeded is not None:
                     reseeded.append(j)
-    return labels
+    return labels, centroids
 
 
 def exhaustive_partition(expansion, samples, n_clusters: int) -> list[list[int]]:

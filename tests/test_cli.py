@@ -165,11 +165,8 @@ def test_too_few_samples_for_the_affine_fit_is_a_usage_error(tmp_path, capsys, c
 
 @pytest.mark.parametrize(
     "command, message",
-    [
-        ("plan", "schedule_file is set but schedule = cosine; set schedule = file to use it"),
-        ("sweep", "schedule_file is set but sweeps use the built-in cosine schedule"),
-    ],
-    ids=["plan", "sweep"],
+    [("sweep", "schedule_file is set but sweeps use the built-in cosine schedule")],
+    ids=["sweep"],
 )
 def test_schedule_file_without_file_kind_is_a_usage_error(tmp_path, capsys, command, message):
     (tmp_path / "sched.csv").write_text("t,alpha\n0,1.0\n1,0.5\n2,0.0\n")
@@ -184,6 +181,15 @@ def test_schedule_file_without_file_kind_is_a_usage_error(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+def test_plan_with_only_a_schedule_file_uses_it(tmp_path, capsys):
+    (tmp_path / "sched.csv").write_text("t,alpha\n0,1.0\n1,0.8\n2,0.3\n3,0.0\n")
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[experiment]\nschedule_file = {tmp_path / 'sched.csv'}\n")
+    assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    plan = parse_plan((tmp_path / "out" / "plan.txt").read_text().strip())
+    assert plan.interval == (1, 3)  # the file's three steps, not the default cosine 32
+
+
 @pytest.mark.parametrize("command", ["plan", "sweep", "gmm-approx", "gmm-propagate"])
 def test_schedule_file_flag_only_where_a_schedule_file_runs(capsys, command):
     argv = [command, "--schedule-file", "s.csv"]
@@ -194,7 +200,7 @@ def test_schedule_file_flag_only_where_a_schedule_file_runs(capsys, command):
         assert "unrecognized arguments: --schedule-file s.csv" in capsys.readouterr().err
         return
     over = _overrides(build_parser().parse_args(argv), command)
-    assert over["schedule_file"] == "s.csv" and over["schedule"] == "file"
+    assert over == {"kind": command, "schedule_file": "s.csv"}
 
 
 def test_frontier_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):

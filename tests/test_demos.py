@@ -2,6 +2,9 @@
 
 Each demo is copied into a temporary directory and run there in a fresh
 interpreter, so files it writes next to itself land in that directory.
+A demo with a frozen stdout, ``tests/demo_stdout/<name>.txt``, must also
+print it byte for byte: 05's was frozen at the commit before
+``error_propagation_audit`` derived its stages and teachers itself.
 """
 
 import os
@@ -14,6 +17,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+FROZEN_STDOUT = Path(__file__).parent / "demo_stdout"
 
 
 def test_demos_exist():
@@ -32,3 +36,6 @@ def test_demo_exits_zero(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    frozen = FROZEN_STDOUT / f"{demo.stem}.txt"
+    if frozen.exists():
+        assert result.stdout == frozen.read_text(encoding="utf-8")

@@ -711,9 +711,7 @@ class TestErrorPropagation:
         sched = make_cosine_schedule(2)
         _, op2, op1, sampler = self._setup(sched)
         merged = compose_expand([op2, op1])
-        audit = error_propagation_audit(
-            op2, op1, merged, [op2, op1], sampler, n=2000, seed=17
-        )
+        audit = error_propagation_audit(merged, sampler, n=2000, seed=17)
         for term in (audit.final, audit.merge, audit.shift, audit.stage1):
             assert term.mean <= 1e-20
         assert audit.holds
@@ -729,9 +727,7 @@ class TestErrorPropagation:
             interval=op2.interval,
         )
         merged = compose_expand([perturbed, op1])  # exact composition: merge error 0
-        audit = error_propagation_audit(
-            perturbed, op1, merged, [op2, op1], sampler, n=20_000, seed=18
-        )
+        audit = error_propagation_audit(merged, sampler, n=20_000, seed=18)
         assert audit.merge.mean <= 1e-20
         assert audit.shift.mean <= 1e-20
         assert audit.stage1.mean > 0.0
@@ -744,31 +740,47 @@ class TestErrorPropagation:
         _, op2, op1, sampler = self._setup(sched)
         merged = compose_expand([op2, op1])
         with pytest.raises(ValueError, match="at least 2 samples"):
-            error_propagation_audit(op2, op1, merged, [op2, op1], sampler, n=n, seed=0)
+            error_propagation_audit(merged, sampler, n=n, seed=0)
 
-    def test_interval_mismatch_rejected(self):
+    def test_sampler_at_another_level_rejected(self):
+        sched = make_cosine_schedule(2)
+        gmm, op2, op1, _ = self._setup(sched)
+        merged = compose_expand([op2, op1])
+        sampler = NoisySampler(gmm=gmm, sched=sched, t=1)
+        message = "sampler draws at level 1, but merged starts at level 2"
+        with pytest.raises(ValueError, match=message):
+            error_propagation_audit(merged, sampler, n=100, seed=0)
+
+    def test_three_stage_chain_rejected(self):
+        sched = make_cosine_schedule(3)
+        gmm = _two_mode()
+        merged = compose_expand([single_step_moe(gmm, sched, t) for t in (3, 2, 1)])
+        sampler = NoisySampler(gmm=gmm, sched=sched, t=3)
+        with pytest.raises(ValueError, match="exactly two stages"):
+            error_propagation_audit(merged, sampler, n=100, seed=0)
+
+    def test_stages_must_cover_the_interval(self):
         sched = make_cosine_schedule(4)
         gmm = _two_mode()
         ops = [single_step_moe(gmm, sched, t) for t in (4, 3, 2, 1)]
         stage1 = compose_expand(ops[:2])
-        stage2 = compose_expand(ops[2:])
-        bad_merged = compose_expand(ops[:2])  # covers only half
+        expansion = compose_expand([stage1, ops[2]])  # any experts will do
         sampler = NoisySampler(gmm=gmm, sched=sched, t=4)
-        with pytest.raises(ValueError, match="cover"):
-            error_propagation_audit(
-                stage1, stage2, bad_merged, ops, sampler, n=100, seed=0
-            )
+        # (3, 4) then (2, 2) stops short of step 1; (3, 4) then (1, 1) skips step 2
+        for stage2 in (ops[2], ops[3]):
+            gating = PathGating(ops=(stage1, stage2))
+            merged = MoeOperator(A=expansion.A, b=expansion.b, gating=gating, interval=(1, 4))
+            with pytest.raises(ValueError, match=r"then \(\d, \d\) do not cover \(1, 4\)"):
+                error_propagation_audit(merged, sampler, n=100, seed=0)
 
     def test_merged_must_run_exactly_the_two_stages(self):
         sched = make_cosine_schedule(2)
-        gmm, op2, op1, sampler = self._setup(sched)
-        twin = single_step_moe(gmm, sched, 2)  # equal to op2, but another object
+        _, _, op1, sampler = self._setup(sched)
         one_step = MoeOperator(
             A=op1.A, b=op1.b, gating=op1.gating, interval=(1, 2)
         )  # covers both steps, but its gating runs no chain
-        for merged in (compose_expand([twin, op1]), one_step):
-            with pytest.raises(ValueError, match=r"exactly \(stage1, stage2\)"):
-                error_propagation_audit(op2, op1, merged, [op2, op1], sampler, n=100, seed=0)
+        with pytest.raises(ValueError, match="exactly two stages"):
+            error_propagation_audit(one_step, sampler, n=100, seed=0)
 
 
 class TestCompressMemory:
@@ -1381,7 +1393,12 @@ def _kmeans_input(C, seed, zero_masses):
 
 
 class TestWeightedKmeans:
-    """Seeding by running minimum and sorted-slice updates keep the mask loop's labels."""
+    """Seeding by running minimum and sorted-slice updates keep the mask loop's results.
+
+    The centroids are compared byte for byte: a cluster's mass and weighted
+    sum must add its members in the mask loop's order, which the labels
+    alone do not show.
+    """
 
     @pytest.mark.parametrize("C", [4, 27, 64, 512])
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -1389,16 +1406,20 @@ class TestWeightedKmeans:
         for seed in range(5):
             for zero_masses in (False, True):
                 points, masses = _kmeans_input(C, seed, zero_masses)
-                labels = gmm_module._weighted_kmeans(points, masses, k, seed)
-                assert labels.tolist() == weighted_kmeans(points, masses, k, seed).tolist()
+                labels, centroids = gmm_module._weighted_kmeans(points, masses, k, seed)
+                want_labels, want_centroids = weighted_kmeans(points, masses, k, seed)
+                assert labels.tolist() == want_labels.tolist()
+                assert centroids.tobytes() == want_centroids.tobytes()
 
     @pytest.mark.parametrize("C, k", [(4, 2), (4, 8), (27, 8)])
     def test_reseeded_clusters_match_reference(self, C, k):
         reseeded = []
         for seed in range(5):
             points, masses = _kmeans_input(C, seed, zero_masses=True)
-            labels = gmm_module._weighted_kmeans(points, masses, k, seed)
-            assert labels.tolist() == weighted_kmeans(points, masses, k, seed, reseeded).tolist()
+            labels, centroids = gmm_module._weighted_kmeans(points, masses, k, seed)
+            want_labels, want_centroids = weighted_kmeans(points, masses, k, seed, reseeded)
+            assert labels.tolist() == want_labels.tolist()
+            assert centroids.tobytes() == want_centroids.tobytes()
         assert reseeded
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from merge_planner import report as report_module
 from merge_planner.gmm import GaussianMixture
+from merge_planner.linear_op import DiagGaussian, shrinkage, surrogate_target
+from merge_planner.pareto_dp import pareto_dp
 from merge_planner.report import (
     ExperimentConfig,
     _canonical_plans,
@@ -18,6 +20,7 @@ from merge_planner.report import (
     run_plan,
     run_sweep,
 )
+from merge_planner.schedule import read_schedule_csv
 from merge_planner.strategy import (
     plan_progressive,
     plan_sequential_boot,
@@ -73,6 +76,7 @@ class TestConfig:
             ("[experiment]\nworkers = 2\n", "unknown key 'workers' in section [experiment]"),
             ("[gmm]\nk = 2\n", "unknown key 'k' in section [gmm]"),
             ("[DEFAULT]\nT = 8\n", "unknown section [DEFAULT]"),
+            ("[experiment]\nschedule = file\n", "unknown key 'schedule' in section [experiment]"),
         ],
     )
     def test_unknown_section_or_key_rejected(self, tmp_path, text, where):
@@ -92,7 +96,7 @@ class TestConfig:
     def test_file_fields_are_paths(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(
-            "[experiment]\nout = res\nschedule = file\nschedule_file = s.csv\n"
+            "[experiment]\nout = res\nschedule_file = s.csv\n"
             "[gmm]\nmixture_file = m.txt\n"
         )
         from_file = load_config(path, env={})
@@ -108,7 +112,7 @@ class TestConfig:
     def test_every_file_key_lands_in_its_field(self, tmp_path):
         text = (
             "[experiment]\nkind = sweep\nT = 16\ns = 3.2\nseed = 9\nout = res\n"
-            "schedule = file\nschedule_file = s.csv\n"
+            "schedule_file = s.csv\n"
             "[lambda]\nvalues = 0.5 1.0 2.0\ngrid = linear 1.0 2.0 3\n"
             "[sweep]\nT_grid = 8 16\ns_grid = 1.6 3.2\n"
             "[gmm]\nmixture_file = m.txt\ncircle_K = 4\ncircle_radius = 2.5\n"
@@ -123,7 +127,7 @@ class TestConfig:
         }
         expected = {
             "kind": "sweep", "T": 16, "s_train": 3.2, "seed": 9, "out_dir": Path("res"),
-            "schedule": "file", "schedule_file": Path("s.csv"),
+            "schedule_file": Path("s.csv"),
             "lam_values": (0.5, 1.0, 2.0), "lambda_grid": "linear", "lambda_min": 1.0,
             "lambda_max": 2.0, "lambda_points": 3,
             "T_grid": (8, 16), "s_grid": (1.6, 3.2),
@@ -330,21 +334,24 @@ class TestRunPlan:
     def test_invalid_schedule_file_rejected(self, tmp_path):
         path = tmp_path / "sched.csv"
         path.write_text("t,alpha\n0,1.0\n1,0.5\n2,0.7\n3,0.0\n")
-        cfg = ExperimentConfig(
-            kind="plan", T=3, schedule="file", schedule_file=path, out_dir=tmp_path
-        )
+        cfg = ExperimentConfig(kind="plan", T=3, schedule_file=path, out_dir=tmp_path)
         with pytest.raises(ValueError, match="alpha monotonicity violation at index 2"):
             run_plan(cfg)
         assert not (tmp_path / "plan.txt").exists()
 
-    def test_schedule_file_without_file_kind_rejected(self, tmp_path):
+    def test_schedule_file_alone_sets_the_schedule(self, tmp_path):
         path = tmp_path / "sched.csv"
-        path.write_text("t,alpha\n0,1.0\n1,0.5\n2,0.0\n")
-        cfg = ExperimentConfig(kind="plan", T=2, schedule_file=path, out_dir=tmp_path)
-        message = "schedule_file is set but schedule = cosine; set schedule = file to use it"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_plan(cfg)
-        assert not (tmp_path / "plan.txt").exists()
+        path.write_text("t,alpha\n0,1.0\n1,0.8\n2,0.3\n3,0.0\n")
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[experiment]\nschedule_file = {path}\n")
+        cfg = load_config(ini, overrides={"out_dir": tmp_path / "out"}, env={})
+        assert cfg.T == 32  # the file's three steps replace the default cosine 32
+        result = run_plan(cfg)
+        sched = read_schedule_csv(path)
+        data = DiagGaussian([1.08])
+        dp = pareto_dp(sched, data, shrinkage(sched, data, 6.4), surrogate_target(sched, data))
+        assert result.plan == dp.plan and result.plan.interval == (1, 3)
+        assert result.objective == dp.objective
 
 
 class TestGmmRunners:
